@@ -1,9 +1,14 @@
-"""Dense float64 tensor kernels: matmul, 2D convolution/pooling, reductions, RNG.
+"""Dense float64 tensor kernels: 2D convolution and pooling, reductions, RNG.
 
-All arrays are C-order float64 with the batch as the leading dimension.
+Callers see C-order float64 arrays in NCHW layout, batch first.
 Convolution is cross-correlation (no kernel flip). The pooling kernels use
 "ceil mode": window starts advance by the stride and partial windows at the
 bottom/right borders are truncated to the image, with no padding.
+
+Inside, the conv and max-pool kernels work channels-last (NHWC) on batch
+chunks whose size is a fixed byte budget divided by the bytes one image
+needs, so each chunk's temporaries stay in cache and no temporary grows
+with the batch.
 """
 
 from __future__ import annotations
@@ -15,16 +20,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError
 
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays, accumulated in float64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
+_CONV_CHUNK_BYTES = 2 << 20  # patch matrix per conv chunk
+_POOL_CHUNK_BYTES = 1 << 20  # input per max-pool chunk
 
 
 def sign(t: np.ndarray) -> np.ndarray:
@@ -51,13 +48,6 @@ def rng_stream(seed: int, tag: str) -> np.random.Generator:
     """
     tag_int = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag_int])))
-
-
-def gaussian_fill(shape, mean: float, stddev: float, rng: np.random.Generator) -> np.ndarray:
-    """Tensor of N(mean, stddev^2) draws from the given generator."""
-    if stddev < 0:
-        raise ConfigError(f"stddev must be non-negative, got {stddev}")
-    return rng.normal(mean, stddev, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +81,47 @@ def _window_view(x: np.ndarray, kernel, stride, out_hw):
     )
 
 
+def _conv_chunk(channels: int, kernel, out_hw) -> int:
+    """Images per conv chunk: as many patch matrices as fit _CONV_CHUNK_BYTES, at least one."""
+    patch_bytes = out_hw[0] * out_hw[1] * kernel[0] * kernel[1] * channels * 8
+    return max(1, _CONV_CHUNK_BYTES // patch_bytes)
+
+
+def _pool_chunk(channels: int, in_hw) -> int:
+    """Images per pool chunk: as many inputs as fit _POOL_CHUNK_BYTES, at least one."""
+    return max(1, _POOL_CHUNK_BYTES // (channels * in_hw[0] * in_hw[1] * 8))
+
+
+def _channels_last(x, padded_hw, origin, fill) -> np.ndarray:
+    """(N, Hp, Wp, C) copy of an NCHW chunk, its image placed at origin and
+    the border filled with fill."""
+    n, c, h, w = x.shape
+    r, s = origin
+    out = np.full((n, *padded_hw, c), fill)
+    out[:, r:r + h, s:s + w, :] = x.transpose(0, 2, 3, 1)
+    return out
+
+
+def _patches(xp, kernel, stride, out_hw) -> np.ndarray:
+    """(N*Ho*Wo, kh*kw*C) patch matrix of a channels-last padded chunk, kernel
+    taps outer and channels inner, so each row copies kw*C contiguous values
+    per kernel row."""
+    n, _, _, c = xp.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ho, wo = out_hw
+    sn, srow, scol, sc = xp.strides
+    view = as_strided(xp, (n, ho, wo, kh, kw, c), (sn, srow * sh, scol * sw, srow, scol, sc))
+    return view.reshape(n * ho * wo, kh * kw * c)
+
+
 def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
     """Cross-correlate x (N,C,H,W) or (C,H,W) with filters (F,C,kh,kw).
 
     Out-of-bounds reads of the zero-padded input are zero. Returns
-    (N,F,Ho,Wo), or (F,Ho,Wo) when the input had no batch axis.
+    (N,F,Ho,Wo), or (F,Ho,Wo) when the input had no batch axis. Each batch
+    chunk is one channels-last patch matrix times the (kh*kw*C, F) filter
+    matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     filters = np.asarray(filters, dtype=np.float64)
@@ -106,15 +132,22 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
         raise ShapeError(f"conv2d expects (N,C,H,W) and (F,C,kh,kw), got {x.shape} and {filters.shape}")
     if x.shape[1] != filters.shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs filters {filters.shape}")
+    n, c, h, w = x.shape
+    f, _, kh, kw = filters.shape
     ph, pw = pad
-    kh, kw = filters.shape[2:]
-    out_hw = conv_output_hw(x.shape[2], x.shape[3], (kh, kw), pad, stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _window_view(xp, (kh, kw), stride, out_hw)
-    out = np.tensordot(cols, filters, axes=((1, 4, 5), (1, 2, 3)))  # N,Ho,Wo,F
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    ho, wo = conv_output_hw(h, w, (kh, kw), pad, stride)
+    wmat = filters.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
     if bias is not None:
-        out += np.asarray(bias, dtype=np.float64)[None, :, None, None]
+        bias = np.asarray(bias, dtype=np.float64)
+    out = np.empty((n, f, ho, wo))
+    step = _conv_chunk(c, (kh, kw), (ho, wo))
+    for n0 in range(0, n, step):
+        xc = x[n0:n0 + step]
+        xp = _channels_last(xc, (h + 2 * ph, w + 2 * pw), pad, 0.0)
+        y = _patches(xp, (kh, kw), stride, (ho, wo)) @ wmat
+        if bias is not None:
+            y += bias
+        out[n0:n0 + len(xc)] = y.reshape(len(xc), ho, wo, f).transpose(0, 3, 1, 2)
     return out[0] if single else out
 
 
@@ -122,15 +155,22 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
     """Gradient of a conv2d output contraction w.r.t. filters and bias.
 
     x is the (N,C,H,W) layer input, dy the (N,F,Ho,Wo) cotangent at the
-    output. Returns (dw, db) with dw shaped (F,C,kh,kw).
+    output. Returns (dw, db) with dw shaped (F,C,kh,kw). Each batch chunk adds
+    its patch matrix, transposed, times its channels-last dy.
     """
     x = np.asarray(x, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
+    n, c, h, w = x.shape
+    f, ho, wo = dy.shape[1:]
+    kh, kw = kernel
     ph, pw = pad
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _window_view(xp, kernel, stride, dy.shape[2:])
-    dw = np.tensordot(cols, dy, axes=((0, 2, 3), (0, 2, 3)))  # C,kh,kw,F
-    dw = np.ascontiguousarray(dw.transpose(3, 0, 1, 2))
+    acc = np.zeros((kh * kw * c, f))
+    step = _conv_chunk(c, kernel, (ho, wo))
+    for n0 in range(0, n, step):
+        xp = _channels_last(x[n0:n0 + step], (h + 2 * ph, w + 2 * pw), pad, 0.0)
+        dyc = dy[n0:n0 + step].transpose(0, 2, 3, 1).reshape(-1, f)
+        acc += _patches(xp, kernel, stride, (ho, wo)).T @ dyc
+    dw = np.ascontiguousarray(acc.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
     db = dy.sum(axis=(0, 2, 3))
     return dw, db
 
@@ -138,31 +178,33 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
 def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
     """Cotangent at the conv2d input: transposed convolution of dy with filters.
 
-    Accumulated one kernel tap at a time: each tap is a channel-mixing
-    matmul plus a strided slice add, so nothing larger than dy itself is
-    ever materialized (a windowed full-correlation view would copy F*kh*kw
-    values per input pixel).
+    Per batch chunk (as many images as conv2d puts in one), each kernel tap
+    is a channel-mixing matmul of the channels-last dy, added into a strided
+    slice of a channels-last accumulator. A stride-1 slice runs over Wo*C
+    contiguous values, where a patch-matrix scatter would add only C at a
+    time.
     """
     dy = np.asarray(dy, dtype=np.float64)
     filters = np.asarray(filters, dtype=np.float64)
     n, f, ho, wo = dy.shape
-    kh, kw = filters.shape[2:]
+    c, kh, kw = filters.shape[1:]
     ph, pw = pad
     sh, sw = stride
     h, w = in_hw
-    c = filters.shape[1]
-    dyt = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-    # tap-major filters and a channels-last accumulator keep every matmul
-    # operand and slice add contiguous; one layout conversion at the end
-    taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
-    for u in range(kh):
-        for v in range(kw):
-            contrib = (dyt @ taps[u, v]).reshape(n, ho, wo, c)
-            dxp[:, u:u + (ho - 1) * sh + 1:sh,
-                v:v + (wo - 1) * sw + 1:sw, :] += contrib
-    dx = dxp[:, ph:ph + h, pw:pw + w, :]
-    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))  # kh,kw,F,C
+    dx = np.empty((n, c, h, w))
+    step = _conv_chunk(c, (kh, kw), (ho, wo))
+    for n0 in range(0, n, step):
+        dyc = dy[n0:n0 + step]
+        b = len(dyc)
+        dyt = dyc.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
+        dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+        for u in range(kh):
+            for v in range(kw):
+                dxp[:, u:u + (ho - 1) * sh + 1:sh,
+                    v:v + (wo - 1) * sw + 1:sw, :] += (dyt @ taps[u, v]).reshape(b, ho, wo, c)
+        dx[n0:n0 + b] = dxp[:, ph:ph + h, pw:pw + w, :].transpose(0, 3, 1, 2)
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +230,12 @@ def maxpool_forward(x, window, stride):
     """Max over each window; returns (out, argmax) with argmax as flat (H*W) indices.
 
     Ties are broken by the first maximal element in a row-major scan of the
-    window, so the selected index is deterministic.
+    window, so the selected index is deterministic. A window holding NaN
+    gives NaN (np.maximum propagates it) and its first element as argmax.
+
+    Per batch chunk, channels-last: a running maximum over the window taps,
+    then a backwards scan over the taps blends each tap's index into the
+    argmax wherever that tap equals the maximum, so the first one wins.
     """
     x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
@@ -197,28 +244,46 @@ def maxpool_forward(x, window, stride):
     ho, wo = _pool_geometry((h, w), window, stride)
     hp = (ho - 1) * sh + kh
     wp = (wo - 1) * sw + kw
-    xp = np.full((n, c, hp, wp), -np.inf)
-    xp[:, :, :h, :w] = x
-    win = _window_view(xp, window, stride, (ho, wo))
-    flat = win.reshape(n, c, ho, wo, kh * kw)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    rows = idx // kw + np.arange(ho)[None, None, :, None] * sh
-    cols = idx % kw + np.arange(wo)[None, None, None, :] * sw
-    return np.ascontiguousarray(out), rows * w + cols
+    # flat index of tap k = (u, v) is window_start + offsets[k]
+    offsets = (np.arange(kh)[:, None] * w + np.arange(kw)).ravel()
+    starts = np.arange(ho)[:, None] * (sh * w) + np.arange(wo) * sw
+    out = np.empty((n, c, ho, wo))
+    argmax = np.empty((n, c, ho, wo), dtype=np.int64)
+    step = _pool_chunk(c, (h, w))
+    for n0 in range(0, n, step):
+        xc = x[n0:n0 + step]
+        xp = _channels_last(xc, (hp, wp), (0, 0), -np.inf)
+        taps = [xp[:, u:u + (ho - 1) * sh + 1:sh, v:v + (wo - 1) * sw + 1:sw, :]
+                for u in range(kh) for v in range(kw)]
+        best = taps[0].copy()
+        for t in taps[1:]:
+            np.maximum(best, t, out=best)
+        # idx -= hit * (idx - k) sets idx to k where tap k is maximal; the
+        # smallest unsigned type holding every tap index keeps it exact
+        idx = np.zeros(best.shape, dtype=np.min_scalar_type(len(taps) - 1))
+        hit = np.empty(best.shape, dtype=bool)
+        delta = np.empty_like(idx)
+        for k in range(len(taps) - 1, -1, -1):
+            np.equal(taps[k], best, out=hit)
+            np.subtract(idx, k, out=delta)
+            np.multiply(delta, hit, out=delta)
+            np.subtract(idx, delta, out=idx)
+        out[n0:n0 + len(xc)] = best.transpose(0, 3, 1, 2)
+        np.add(offsets[idx.transpose(0, 3, 1, 2)], starts, out=argmax[n0:n0 + len(xc)])
+    return out, argmax
 
 
 def maxpool_scatter(dy, argmax, in_hw) -> np.ndarray:
-    """VJP of maxpool: route each output cotangent back to its argmax position."""
+    """VJP of maxpool: route each output cotangent back to its argmax position.
+
+    One bincount over (image, channel)-offset positions; cotangents that meet
+    at one input pixel add in row-major output order.
+    """
     dy = np.asarray(dy, dtype=np.float64)
     n, c = dy.shape[:2]
     h, w = in_hw
-    dx = np.zeros((n, c, h * w))
-    np.add.at(
-        dx,
-        (np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], argmax),
-        dy,
-    )
+    planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    dx = np.bincount((argmax + planes).ravel(), weights=dy.ravel(), minlength=n * c * h * w)
     return dx.reshape(n, c, h, w)
 
 
@@ -227,9 +292,8 @@ def maxpool_gather(v, argmax, in_hw) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n, c = v.shape[:2]
     flat = v.reshape(n, c, in_hw[0] * in_hw[1])
-    return flat[
-        np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], argmax
-    ]
+    picked = np.take_along_axis(flat, argmax.reshape(n, c, -1), axis=2)
+    return picked.reshape(argmax.shape)
 
 
 def _pool_counts(in_hw, window, stride, out_hw):

@@ -1,17 +1,18 @@
-"""Kernel-level checks against plain-loop reference implementations."""
+"""Kernel-level checks against plain-loop and earlier-kernel references."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ibpnet.errors import ConfigError, ShapeError
+from ibpnet import tensor
+from ibpnet.errors import ConfigError
 from ibpnet.tensor import (
     conv2d,
     conv2d_input_grad,
     conv2d_weight_grad,
     conv_output_hw,
-    gaussian_fill,
     lp_norm,
-    matmul,
     maxpool_forward,
     maxpool_gather,
     maxpool_scatter,
@@ -86,23 +87,73 @@ def meanpool_loops(x, window, stride):
     return out
 
 
-class TestMatmul:
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        ref = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    ref[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(matmul(a, b), ref, rtol=1e-12)
+# Earlier whole-batch NCHW kernels, kept as references for the chunked
+# channels-last ones: strided tensordot convolution, a tap-by-tap transposed
+# convolution, argmax over a copied window view, np.add.at and fancy indexing.
 
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
+def ref_conv2d(x, filters, pad, stride):
+    ph, pw = pad
+    kh, kw = filters.shape[2:]
+    out_hw = conv_output_hw(x.shape[2], x.shape[3], (kh, kw), pad, stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = tensor._window_view(xp, (kh, kw), stride, out_hw)
+    out = np.tensordot(cols, filters, axes=((1, 4, 5), (1, 2, 3)))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def ref_conv2d_weight_grad(x, dy, kernel, pad, stride):
+    ph, pw = pad
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = tensor._window_view(xp, kernel, stride, dy.shape[2:])
+    dw = np.tensordot(cols, dy, axes=((0, 2, 3), (0, 2, 3)))
+    return np.ascontiguousarray(dw.transpose(3, 0, 1, 2)), dy.sum(axis=(0, 2, 3))
+
+
+def ref_conv2d_input_grad(dy, filters, pad, stride, in_hw):
+    n, f, ho, wo = dy.shape
+    kh, kw = filters.shape[2:]
+    ph, pw = pad
+    sh, sw = stride
+    h, w = in_hw
+    c = filters.shape[1]
+    dyt = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+    taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, u:u + (ho - 1) * sh + 1:sh,
+                v:v + (wo - 1) * sw + 1:sw, :] += (dyt @ taps[u, v]).reshape(n, ho, wo, c)
+    return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + w, :].transpose(0, 3, 1, 2))
+
+
+def ref_maxpool_forward(x, window, stride):
+    n, c, h, w = x.shape
+    kh, kw = window
+    sh, sw = stride
+    ho = pool_output_extent(h, kh, sh)
+    wo = pool_output_extent(w, kw, sw)
+    xp = np.full((n, c, (ho - 1) * sh + kh, (wo - 1) * sw + kw), -np.inf)
+    xp[:, :, :h, :w] = x
+    flat = tensor._window_view(xp, window, stride, (ho, wo)).reshape(n, c, ho, wo, kh * kw)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    rows = idx // kw + np.arange(ho)[None, None, :, None] * sh
+    cols = idx % kw + np.arange(wo)[None, None, None, :] * sw
+    return np.ascontiguousarray(out), rows * w + cols
+
+
+def ref_maxpool_scatter(dy, argmax, in_hw):
+    n, c = dy.shape[:2]
+    h, w = in_hw
+    dx = np.zeros((n, c, h * w))
+    np.add.at(dx, (np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], argmax), dy)
+    return dx.reshape(n, c, h, w)
+
+
+def ref_maxpool_gather(v, argmax, in_hw):
+    n, c = v.shape[:2]
+    flat = v.reshape(n, c, in_hw[0] * in_hw[1])
+    return flat[np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], argmax]
 
 
 class TestScalars:
@@ -124,14 +175,6 @@ class TestScalars:
         c = rng_stream(7, "y").normal(size=5)
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 1e-3
-
-    def test_gaussian_fill_moments(self):
-        rng = rng_stream(0, "fill")
-        t = gaussian_fill((200, 200), 1.0, 2.0, rng)
-        assert abs(t.mean() - 1.0) < 0.05
-        assert abs(t.std() - 2.0) < 0.05
-        with pytest.raises(ConfigError):
-            gaussian_fill((2,), 0.0, -1.0, rng)
 
 
 class TestConv2D:
@@ -254,3 +297,157 @@ class TestPooling:
         np.testing.assert_allclose(
             float((dy * out).sum()), float((dx * x).sum()), rtol=1e-12
         )
+
+
+# mnist-paper shapes: (name, input (C, H, W), filters (F, C, kh, kw), pad)
+CONV_SHAPES = [
+    ("conv1", (1, 28, 28), (32, 1, 4, 4), (0, 0)),
+    ("conv2", (32, 12, 12), (64, 32, 5, 5), (2, 2)),
+]
+# conv1 and conv2 outputs, pooled 3x3 / 2; 12 -> 6 truncates the last windows
+POOL_SHAPES = [("pool1", (32, 25, 25)), ("pool2", (64, 12, 12))]
+POOL = ((3, 3), (2, 2))
+
+
+def batch_sizes(chunk):
+    """1, 32, 257 and one below, at and one above the kernel's chunk length."""
+    return sorted({1, 32, 257, chunk - 1, chunk, chunk + 1} - {0})
+
+
+def conv_cases():
+    for name, xs, ws, pad in CONV_SHAPES:
+        out_hw = conv_output_hw(xs[1], xs[2], ws[2:], pad, (1, 1))
+        for n in batch_sizes(tensor._conv_chunk(xs[0], ws[2:], out_hw)):
+            yield pytest.param(n, xs, ws, pad, id=f"{name}-n{n}")
+
+
+def pool_cases():
+    for name, xs in POOL_SHAPES:
+        for n in batch_sizes(tensor._pool_chunk(xs[0], xs[1:])):
+            yield pytest.param(n, xs, id=f"{name}-n{n}")
+
+
+def assert_conv_close(got, ref):
+    # the kernels sum in a different order; float64 rounding of the sums,
+    # relative to the largest magnitude, stays far below 1e-12
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def tie_heavy(x):
+    """Rounded and relu'd, so most pool windows hold several equal maxima."""
+    return np.maximum(np.round(2.0 * x), 0.0)
+
+
+class TestAgainstEarlierKernels:
+    @pytest.mark.parametrize("n,xs,ws,pad", conv_cases())
+    def test_conv_kernels(self, n, xs, ws, pad):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n,) + xs)
+        w = rng.normal(size=ws)
+        b = rng.normal(size=ws[0])
+        y = conv2d(x, w, pad, (1, 1), b)
+        ref = ref_conv2d(x, w, pad, (1, 1))
+        assert_conv_close(y, ref + b[:, None, None])
+        dy = rng.normal(size=y.shape)
+        dw, db = conv2d_weight_grad(x, dy, ws[2:], pad, (1, 1))
+        ref_dw, ref_db = ref_conv2d_weight_grad(x, dy, ws[2:], pad, (1, 1))
+        assert_conv_close(dw, ref_dw)
+        np.testing.assert_array_equal(db, ref_db)
+        dx = conv2d_input_grad(dy, w, pad, (1, 1), xs[1:])
+        assert_conv_close(dx, ref_conv2d_input_grad(dy, w, pad, (1, 1), xs[1:]))
+
+    @pytest.mark.parametrize("prep", [lambda x: x, tie_heavy], ids=["normal", "ties"])
+    @pytest.mark.parametrize("n,xs", pool_cases())
+    def test_maxpool_kernels_bitwise(self, n, xs, prep):
+        rng = np.random.default_rng(n)
+        x = prep(rng.normal(size=(n,) + xs))
+        out, arg = maxpool_forward(x, *POOL)
+        ref_out, ref_arg = ref_maxpool_forward(x, *POOL)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(arg, ref_arg)
+        dy = rng.normal(size=out.shape)
+        np.testing.assert_array_equal(
+            maxpool_scatter(dy, arg, xs[1:]), ref_maxpool_scatter(dy, arg, xs[1:]))
+        v = rng.normal(size=x.shape)
+        np.testing.assert_array_equal(
+            maxpool_gather(v, arg, xs[1:]), ref_maxpool_gather(v, arg, xs[1:]))
+
+
+def scatter_loop(dy, argmax, in_hw):
+    """Adds each cotangent at its argmax, in row-major output order."""
+    n, c, ho, wo = dy.shape
+    dx = np.zeros((n, c, in_hw[0] * in_hw[1]))
+    for b in range(n):
+        for ch in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    dx[b, ch, argmax[b, ch, i, j]] += dy[b, ch, i, j]
+    return dx.reshape(n, c, *in_hw)
+
+
+class TestOverlappingPoolWindows:
+    """The presets' 3x3 / 2 windows overlap: one input pixel can be the
+    argmax of up to four windows."""
+
+    def shared_peaks(self):
+        rng = np.random.default_rng(9)
+        x = tie_heavy(rng.normal(size=(3, 2, 12, 12)))
+        x[:, :, 2::2, 2::2] += 10.0  # each peak wins the 4 windows around it
+        return rng, x
+
+    def test_scatter_matches_ordered_loop(self):
+        rng, x = self.shared_peaks()
+        _, arg = maxpool_forward(x, *POOL)
+        hits = np.stack([np.bincount(a.ravel(), minlength=144) for a in arg.reshape(6, -1)])
+        assert hits.max() == 4
+        dy = rng.normal(size=arg.shape)
+        np.testing.assert_array_equal(maxpool_scatter(dy, arg, (12, 12)),
+                                      scatter_loop(dy, arg, (12, 12)))
+
+    def test_gather_matches_loop(self):
+        rng, x = self.shared_peaks()
+        _, arg = maxpool_forward(x, *POOL)
+        v = rng.normal(size=x.shape)
+        ref = np.array([[[[v[b, ch].flat[k] for k in row] for row in plane]
+                         for ch, plane in enumerate(img)] for b, img in enumerate(arg)])
+        np.testing.assert_array_equal(maxpool_gather(v, arg, (12, 12)), ref)
+
+    def test_nan_in_window_gives_nan(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(1, 1, 7, 7))
+        x[0, 0, 2, 2] = np.nan  # inside windows (0,0), (0,1), (1,0), (1,1)
+        out, arg = maxpool_forward(x, *POOL)
+        expect = np.zeros((3, 3), dtype=bool)
+        expect[:2, :2] = True
+        np.testing.assert_array_equal(np.isnan(out[0, 0]), expect)
+        ref_out, ref_arg = ref_maxpool_forward(x, *POOL)
+        np.testing.assert_array_equal(out[0, 0][~expect], ref_out[0, 0][~expect])
+        np.testing.assert_array_equal(arg[0, 0][~expect], ref_arg[0, 0][~expect])
+        np.testing.assert_array_equal(arg[0, 0][expect], [0, 2, 14, 16])  # window starts
+
+
+class TestMemory:
+    """Traced NumPy peak at the conv2 shape, batch 256: the kernel's output
+    plus at most 16 MiB, however large the batch."""
+
+    @pytest.mark.parametrize("kernel", [
+        "conv2d", "conv2d_weight_grad", "conv2d_input_grad", "maxpool_forward"])
+    def test_peak_within_output_plus_16mib(self, kernel):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(256, 32, 12, 12))
+        w = rng.normal(size=(64, 32, 5, 5))
+        dy = rng.normal(size=(256, 64, 12, 12))
+        run = {
+            "conv2d": lambda: conv2d(x, w, (2, 2), (1, 1)),
+            "conv2d_weight_grad": lambda: conv2d_weight_grad(x, dy, (5, 5), (2, 2), (1, 1)),
+            "conv2d_input_grad": lambda: conv2d_input_grad(dy, w, (2, 2), (1, 1), (12, 12)),
+            "maxpool_forward": lambda: maxpool_forward(dy, *POOL),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(r.nbytes for r in (result if isinstance(result, tuple) else (result,)))
+        assert peak <= out_bytes + (16 << 20), f"{peak / 2**20:.1f} MiB traced"
