@@ -44,7 +44,13 @@ from .losses import (
 )
 from .network import Network
 from .tensor import rng_stream
-from .training import TrainConfig, _main_passes, _top_index, adversarial_shift
+from .training import (
+    TrainConfig,
+    _main_passes,
+    _top_index,
+    adversarial_shift,
+    _sum_tangents,
+)
 
 # r=1 penalties take absolute values; coordinates whose base magnitude is
 # within this of the kink at zero are excluded from finite-difference
@@ -349,12 +355,13 @@ def _aux_tangent_lp(net: Network, x, labels, cfg: TrainConfig, tangents, masks):
 
 
 def _aux_fast_tbp(net: Network, x, labels, cfg: TrainConfig, tangents):
+    """aux_dw as the fast-tbp step computes them: one push of the tangents
+    summed in list order."""
     _, dy0, top = _main_passes(net, x, labels, cfg, train=False)
     net.zero_aux()
-    for t in tangents:
-        _, seed = aux_loss_dot(dy0, t)
-        net.jvp(seed, upto=top)
-        net.aux_from_cot()
+    _, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
+    net.jvp(seed, upto=top)
+    net.aux_from_cot()
     return [l.aux_dw.copy() for l in net.param_layers], dy0
 
 
@@ -459,8 +466,6 @@ def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None,
 
     fdw, _ = fd_weight_grad(net, eval_fn, h=h, biases=False)
     pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(aux, fdw))]
-    for i, layer in enumerate(net.param_layers):
-        pairs.append((f"layer{i}.b", layer.aux_db, np.zeros_like(layer.aux_db)))
     return compare_tensors(name, pairs, tol)
 
 

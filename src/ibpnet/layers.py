@@ -92,7 +92,6 @@ class FullyConnected(Layer):
         self.dw = None
         self.db = None
         self.aux_dw = np.zeros_like(self.w)
-        self.aux_db = np.zeros_like(self.b)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -161,7 +160,6 @@ class Conv2D(Layer):
         self.dw = None
         self.db = None
         self.aux_dw = np.zeros_like(self.w)
-        self.aux_db = np.zeros_like(self.b)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)

@@ -7,22 +7,10 @@ batch factor); the training steps apply the batch convention where needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericError, ShapeError
 from .tensor import lp_norm, sign
-
-
-@dataclass
-class LossReport:
-    """Scalar losses of one step plus the seeds of its gradient passes."""
-
-    main_loss: float
-    aux_loss: float = 0.0
-    dy_k: np.ndarray | None = field(default=None, repr=False)
-    aux_seed: np.ndarray | None = field(default=None, repr=False)
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray, op: str):

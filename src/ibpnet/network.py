@@ -95,7 +95,6 @@ class Network:
         # fresh buffers, so gradient sets captured earlier keep their values
         for layer in self.param_layers:
             layer.aux_dw = np.zeros_like(layer.w)
-            layer.aux_db = np.zeros_like(layer.b)
 
     def aux_from_cot(self):
         """Auxiliary weight gradients as tangent-input x main-cotangent
@@ -111,7 +110,7 @@ class Network:
         return [(l.dw, l.db) for l in self.param_layers]
 
     def aux_grads(self):
-        return [(l.aux_dw, l.aux_db) for l in self.param_layers]
+        return [l.aux_dw for l in self.param_layers]
 
     def n_params(self) -> int:
         return sum(l.w.size + l.b.size for l in self.param_layers)

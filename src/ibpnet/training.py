@@ -10,8 +10,9 @@ current batch*:
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
   penalty there, and a pull back down accumulating auxiliary gradients.
   pred-ibp is exactly tbp with the input cotangent as its single tangent.
-* fast-tbp: per tangent, the dot-product auxiliary loss turns the four-pass
-  route into one push plus cached-cotangent contractions.
+* fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
+  tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
+  the four-pass route becomes one push plus cached-cotangent contractions.
 * at / fast-at: a second forward/backward at the adversarially shifted
   input; at averages both gradient sets, fast-at keeps only the second.
 
@@ -95,7 +96,6 @@ class GradientSet:
     dw: list = field(default_factory=list)
     db: list = field(default_factory=list)
     aux_dw: list = field(default_factory=list)
-    aux_db: list = field(default_factory=list)
 
     @classmethod
     def capture(cls, net: Network) -> "GradientSet":
@@ -104,7 +104,6 @@ class GradientSet:
             dw=[l.dw for l in layers],
             db=[l.db for l in layers],
             aux_dw=[l.aux_dw for l in layers],
-            aux_db=[l.aux_db for l in layers],
         )
 
     def average(self, other: "GradientSet") -> "GradientSet":
@@ -112,7 +111,6 @@ class GradientSet:
             dw=[(a + b) / 2.0 for a, b in zip(self.dw, other.dw)],
             db=[(a + b) / 2.0 for a, b in zip(self.db, other.db)],
             aux_dw=[(a + b) / 2.0 for a, b in zip(self.aux_dw, other.aux_dw)],
-            aux_db=[(a + b) / 2.0 for a, b in zip(self.aux_db, other.aux_db)],
         )
 
 
@@ -215,22 +213,29 @@ def step_tbp(net: Network, batch, tangents, cfg: TrainConfig):
     return loss, aux, GradientSet.capture(net)
 
 
+def _sum_tangents(tangents) -> np.ndarray:
+    """The tangents added in list order, as a fresh float64 array."""
+    total = np.array(tangents[0], dtype=np.float64)
+    for t in tangents[1:]:
+        total += t
+    return total
+
+
 def step_fast_tbp(net: Network, batch, tangents, cfg: TrainConfig):
     """Tangent propagation via the dot-product auxiliary loss dy0 . tangent.
 
-    Each tangent needs only a forward push through the linearized network;
-    the auxiliary weight gradients reuse the cached main cotangents, saving
-    the per-tangent backward pass of the original form.
+    The loss, the push and the cached-cotangent contractions are all linear
+    in the tangent, so the summed tangent takes one forward push through the
+    linearized network in place of one push per tangent. The auxiliary
+    weight gradients reuse the cached main cotangents, saving the backward
+    pass of the original form.
     """
     x, labels = batch
     loss, dy0, top = _main_passes(net, x, labels, cfg)
     net.zero_aux()
-    aux = 0.0
-    for t in tangents:
-        val, seed = aux_loss_dot(dy0, t)
-        aux += val
-        net.jvp(seed, upto=top)
-        net.aux_from_cot()
+    aux, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
+    net.jvp(seed, upto=top)
+    net.aux_from_cot()
     return loss, aux, GradientSet.capture(net)
 
 

@@ -64,14 +64,14 @@ class TestPasses:
         net.vjp(rng.normal(size=(4, 3)))
         net.jvp(rng.normal(size=x.shape), skip_softmax=True)
         net.aux_from_cot()
-        before = [aw for aw, _ in net.aux_grads()]
+        before = net.aux_grads()
         snapshot = [aw.copy() for aw in before]
         assert any(aw.any() for aw in before)
         net.zero_aux()
         for old, snap in zip(before, snapshot):
             np.testing.assert_array_equal(old, snap)  # old buffer untouched
-        for aw, ab in net.aux_grads():
-            assert not aw.any() and not ab.any()
+        for aw in net.aux_grads():
+            assert not aw.any()
 
     def test_param_accessors(self):
         net = small_net()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ibpnet.errors import ConfigError
+from ibpnet.gradcheck import rel_error
 from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network
 from ibpnet.presets import acceptance_net
@@ -21,6 +22,7 @@ from ibpnet.training import (
     step_at,
     step_bp,
     step_fast_at,
+    step_fast_tbp,
     step_loss_ibp,
 )
 
@@ -34,7 +36,7 @@ def one_param_net(w0=1.0):
 
 def const_grads(dw, adw=0.0):
     return GradientSet(dw=[np.array([[dw]])], db=[np.zeros(1)],
-                       aux_dw=[np.array([[adw]])], aux_db=[np.zeros(1)])
+                       aux_dw=[np.array([[adw]])])
 
 
 def make_batch(rng, n, in_shape, classes):
@@ -167,6 +169,60 @@ class TestStepClosedForms:
         for (wa, ba), (wb, bb) in zip(net_a.params(), net_b.params()):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)
+
+
+class TestFastTbpFiveTangents:
+    """The step pushes the summed tangent once; the reference below makes
+    one push and one contraction per tangent, as the four-pass form does."""
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(17)
+        x, labels = make_batch(rng, 8, (1, 7, 7), 16)
+        tangents = [rng.normal(0.0, 0.5, size=x.shape) for _ in range(5)]
+        return (x, labels), tangents, TrainConfig(algo="fast-tbp", beta=0.1)
+
+    @staticmethod
+    def per_tangent_reference(net, batch, tangents):
+        x, labels = batch
+        probs = net.forward(x, train=True)
+        top = len(net.layers) - 1  # seed below the final softmax
+        dy0 = net.vjp((probs - labels) / x.shape[0], upto=top)
+        net.zero_aux()
+        aux = 0.0
+        for t in tangents:
+            aux += float((dy0 * t).sum())
+            net.jvp(t, upto=top)
+            net.aux_from_cot()
+        return aux, [l.aux_dw.copy() for l in net.param_layers]
+
+    def test_matches_per_tangent_pushes(self):
+        batch, tangents, cfg = self.case()
+        assert all(t.any() for t in tangents)
+        _, aux, grads = step_fast_tbp(acceptance_net(18), batch, tangents, cfg)
+        ref_aux, ref_dw = self.per_tangent_reference(acceptance_net(18), batch,
+                                                     tangents)
+        for got, want in zip(grads.aux_dw, ref_dw):
+            assert want.any()
+            assert rel_error(got, want)[0] <= 1e-10
+        assert abs(aux - ref_aux) <= 1e-10 * abs(ref_aux)
+
+    def test_one_push_per_step_and_tangents_untouched(self):
+        batch, tangents, cfg = self.case()
+        saved = [t.copy() for t in tangents]
+        net = acceptance_net(18)
+        pushes = []
+        jvp = net.jvp
+
+        def counted_jvp(v, **kw):
+            pushes.append(v)
+            return jvp(v, **kw)
+
+        net.jvp = counted_jvp
+        step_fast_tbp(net, batch, tangents, cfg)
+        assert len(pushes) == 1
+        for t, s in zip(tangents, saved):
+            np.testing.assert_array_equal(t, s)
 
 
 class TestRunStep:
