@@ -34,20 +34,13 @@ from .layers import (
     Sigmoid,
     Softmax,
 )
-from .losses import (
-    aux_loss_direction,
-    aux_loss_dot,
-    aux_loss_lp,
-    nll_from_probs,
-    nll_softmax_loss,
-    squared_loss,
-)
+from .losses import aux_loss_direction, aux_loss_dot, aux_loss_lp
 from .network import Network
 from .tensor import rng_stream
 from .training import (
     TrainConfig,
+    _forward_loss,
     _main_passes,
-    _top_index,
     adversarial_shift,
     _sum_tangents,
 )
@@ -122,16 +115,6 @@ def fd_weight_grad(net: Network, eval_fn, h: float = 1e-5, biases: bool = True):
         dws.append(grads[0])
         dbs.append(grads[1] if biases else np.zeros_like(layer.b))
     return dws, dbs
-
-
-def loss_value(net: Network, x, labels, cfg: TrainConfig) -> float:
-    """Main loss by forward evaluation only."""
-    out = net.forward(x, train=False)
-    if cfg.loss == "squared":
-        return squared_loss(out, labels)[0]
-    if _top_index(net, cfg) < len(net.layers):
-        return nll_from_probs(out, labels)[0]
-    return nll_softmax_loss(out, labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +291,6 @@ def _masked_lp(v: np.ndarray, r: int, mask) -> float:
     return float(0.5 * np.square(v).sum())
 
 
-def _loss_seed(net: Network, x, labels, cfg: TrainConfig):
-    """(L, top seed, top index) by forward evaluation."""
-    out = net.forward(x, train=False)
-    top = _top_index(net, cfg)
-    if cfg.loss == "squared":
-        loss, seed = squared_loss(out, labels)
-    elif top < len(net.layers):
-        loss, seed = nll_from_probs(out, labels)
-    else:
-        loss, seed = nll_softmax_loss(out, labels)
-    return loss, seed, top
-
-
 # ---------------------------------------------------------------------------
 # Algorithm-side auxiliary gradients (optionally kink-masked)
 # ---------------------------------------------------------------------------
@@ -374,6 +344,7 @@ def check_main_grad_fd(net: Network, batch, cfg: TrainConfig,
     """dw/db of one step against central differences of the step's main
     objective (with the adversarial point frozen for at/fast-at)."""
     x, labels = batch
+    loss_at = lambda inputs: _forward_loss(net, inputs, labels, cfg, train=False)[0]
     if cfg.algo in ("at", "fast-at"):
         _, dy0, _ = _main_passes(net, x, labels, cfg, train=False)
         xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
@@ -384,17 +355,16 @@ def check_main_grad_fd(net: Network, batch, cfg: TrainConfig,
             first = [(l.dw, l.db) for l in net.param_layers]
             dw = [(a[0] + b[0]) / 2.0 for a, b in zip(first, second)]
             db = [(a[1] + b[1]) / 2.0 for a, b in zip(first, second)]
-            eval_fn = lambda: (loss_value(net, x, labels, cfg)
-                               + loss_value(net, xs, labels, cfg)) / 2.0
+            eval_fn = lambda: (loss_at(x) + loss_at(xs)) / 2.0
         else:
             dw = [g[0] for g in second]
             db = [g[1] for g in second]
-            eval_fn = lambda: loss_value(net, xs, labels, cfg)
+            eval_fn = lambda: loss_at(xs)
     else:
         _, _, _ = _main_passes(net, x, labels, cfg, train=False)
         dw = [l.dw.copy() for l in net.param_layers]
         db = [l.db.copy() for l in net.param_layers]
-        eval_fn = lambda: loss_value(net, x, labels, cfg)
+        eval_fn = lambda: loss_at(x)
     fdw, fdb = fd_weight_grad(net, eval_fn, h=h)
     pairs = []
     for i, (a, b) in enumerate(zip(dw, fdw)):
@@ -423,7 +393,7 @@ def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None,
     name = f"aux-fd/{cfg.algo}" + ("" if cfg.algo == "fast-tbp" else f"/r{cfg.r}")
 
     if cfg.algo == "loss-ibp":
-        _, seed, top = _loss_seed(net, x, labels, cfg)
+        _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
         chain = FrozenChain(net, x, upto=top)
         base = chain.pull(seed)
         mask = None if cfg.r == 2 else (np.abs(base) >= KINK_EPS).astype(np.float64)
@@ -434,7 +404,7 @@ def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None,
             return scale * _masked_lp(chain.pull(seed), cfg.r, mask)
 
     elif cfg.algo in ("pred-ibp", "tbp"):
-        _, seed, top = _loss_seed(net, x, labels, cfg)
+        _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
         chain = FrozenChain(net, x, skip_softmax=cfg.skip_softmax)
         if cfg.algo == "pred-ibp":
             full = FrozenChain(net, x, upto=top)
@@ -453,7 +423,7 @@ def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None,
             ) / n
 
     elif cfg.algo == "fast-tbp":
-        _, seed, top = _loss_seed(net, x, labels, cfg)
+        _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
         chain = FrozenChain(net, x, upto=top)
         frozen = [t.copy() for t in tangents]
         aux, _ = _aux_fast_tbp(net, x, labels, cfg, frozen)
@@ -523,7 +493,7 @@ def check_fast_tbp_equivalence(net: Network, batch, tangent,
     if cfg is None:
         cfg = TrainConfig(algo="fast-tbp")
     _, dy0, top = _main_passes(net, x, labels, cfg, train=False)
-    _, seed, _ = _loss_seed(net, x, labels, cfg)  # forward only; cotangents stay
+    _, seed, _ = _forward_loss(net, x, labels, cfg, train=False)  # forward only; cotangents stay
 
     net.zero_aux()
     val_a, push_seed = aux_loss_dot(dy0, tangent)
@@ -578,7 +548,8 @@ def check_fast_at_firstorder(net: Network, batch, eps_list=(1e-2, 1e-3, 1e-4),
     rates = []
     for eps in eps_list:
         xs = adversarial_shift(x, dy0, eps)
-        residual = abs(loss_value(net, xs, labels, cfg) - loss0 - eps * norm1)
+        loss_eps = _forward_loss(net, xs, labels, cfg, train=False)[0]
+        residual = abs(loss_eps - loss0 - eps * norm1)
         rates.append(residual / eps)
     worst = 0.0
     for prev, nxt in zip(rates, rates[1:]):

@@ -1,22 +1,29 @@
-"""Network layers with forward, backward (vjp) and linearized tangent (jvp) passes.
+"""Network layers: each states its Jacobian once, and the base ``Layer``
+builds every pass from it.
 
-Every layer supports up to four passes over one cached batch:
+A subclass defines:
 
-* ``forward(x, train)``: compute the activation and cache whatever the other
-  passes need (inputs, masks, max positions).
-* ``vjp(dy)``: pull a cotangent from the output back to the input, filling
-  ``dw``/``db`` on parametric layers and caching ``cot_out``.
-* ``jvp(v)``: push a tangent forward through the layer linearized at the
-  cached batch. Biases do not appear (they vanish under linearization), and
-  data-dependent choices (relu mask, max positions, dropout mask) are reused
-  from the forward cache rather than recomputed.
-* ``lin_vjp(delta)``: pull a cotangent back through the same linearized
-  layer, accumulating ``aux_dw`` against the tangent input cached by ``jvp``.
+* ``forward(x, train)``: compute the activation and cache whatever the
+  Jacobian at this batch needs (inputs, masks, max positions).
+* ``vjp_linear(dy)``: pull a cotangent through that frozen Jacobian.
+* ``jvp(v)``, only where the Jacobian is not symmetric: push a tangent
+  through the layer linearized at the cached batch. Biases vanish under
+  linearization, and data-dependent choices (relu mask, max positions,
+  dropout mask) are reused from the forward cache rather than recomputed.
+* ``weight_grad(a, dy) -> (dw, db)``, on parametric layers only: contract a
+  layer input with an output cotangent.
 
-``aux_from_cot()`` is the cheap alternative to ``lin_vjp``: it contracts the
-cached tangent input with the cotangent cached by the main ``vjp``, which
-yields the auxiliary weight gradient directly when the auxiliary loss is a
-function of the input cotangent.
+From these the base ``Layer`` builds:
+
+* ``jvp(v)``: by default ``vjp_linear``, since the Jacobian is symmetric.
+* ``vjp(dy)``: the backward pass; on parametric layers it caches
+  ``cot_out`` and fills ``dw``/``db`` before pulling.
+* ``lin_vjp(delta)``: pull back through the linearized layer, accumulating
+  ``aux_dw`` against the tangent input cached by ``jvp``.
+* ``aux_from_cot()``: the cheap alternative to ``lin_vjp``. It contracts the
+  cached tangent input with the cotangent cached by ``vjp``, which yields
+  the auxiliary weight gradient directly when the auxiliary loss is a
+  function of the input cotangent.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from .tensor import (
     conv2d,
     conv2d_input_grad,
     conv2d_weight_grad,
-    conv_output_hw,
     maxpool_forward,
     maxpool_gather,
     maxpool_scatter,
@@ -44,27 +50,41 @@ def _need(cache, what: str):
 
 
 class Layer:
-    """Stateless-by-default base; parametric layers override has_params."""
+    """Builds the backward and auxiliary passes from a subclass's Jacobian
+    (``vjp_linear``, ``jvp``) and, on parametric layers, ``weight_grad``."""
 
     has_params = False
+    # caches of parametric layers: forward input, backward cotangent and
+    # tangent input (as weight_grad takes them), and the main gradients
+    x = cot_out = tan_in = dw = db = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def vjp(self, dy: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jvp(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def lin_vjp(self, delta: np.ndarray) -> np.ndarray:
-        # Non-parametric layers have symmetric or diagonal Jacobians here,
-        # so the linearized pullback defaults to the ordinary one.
-        return self.vjp_linear(delta)
-
     def vjp_linear(self, dy: np.ndarray) -> np.ndarray:
         """Pullback through the frozen Jacobian only (no weight gradients)."""
         raise NotImplementedError
+
+    def jvp(self, v: np.ndarray) -> np.ndarray:
+        return self.vjp_linear(v)
+
+    def vjp(self, dy: np.ndarray) -> np.ndarray:
+        if self.has_params:
+            x = _need(self.x, f"{type(self).__name__} input cache")
+            self.cot_out = dy
+            self.dw, self.db = self.weight_grad(x, dy)
+        return self.vjp_linear(dy)
+
+    def lin_vjp(self, delta: np.ndarray) -> np.ndarray:
+        if self.has_params:
+            t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
+            self.aux_dw += self.weight_grad(t, delta)[0]
+        return self.vjp_linear(delta)
+
+    def aux_from_cot(self):
+        t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
+        c = _need(self.cot_out, f"{type(self).__name__} cotangent cache")
+        self.aux_dw += self.weight_grad(t, c)[0]
 
     def spec(self) -> dict:
         raise NotImplementedError
@@ -82,16 +102,8 @@ class FullyConnected(Layer):
         self.out_features = out_features
         self.w = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(in_features, out_features))
         self.b = np.zeros(out_features)
-        self._reset_caches()
-
-    def _reset_caches(self):
-        self.x = None
-        self.x_shape = None
-        self.cot_out = None
-        self.tan_in = None
-        self.dw = None
-        self.db = None
         self.aux_dw = np.zeros_like(self.w)
+        self.x_shape = None
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -102,31 +114,17 @@ class FullyConnected(Layer):
         self.x = xf
         return xf @ self.w + self.b
 
-    def vjp(self, dy):
-        x = _need(self.x, "fc backward cache")
-        self.cot_out = dy
-        self.dw = x.T @ dy
-        self.db = dy.sum(axis=0)
-        return (dy @ self.w.T).reshape(self.x_shape)
-
     def jvp(self, v):
-        _need(self.x, "fc backward cache")
-        vf = np.asarray(v, dtype=np.float64).reshape(v.shape[0], -1)
-        self.tan_in = vf
-        return vf @ self.w
+        _need(self.x, "fc input cache")
+        self.tan_in = np.asarray(v, dtype=np.float64).reshape(v.shape[0], -1)
+        return self.tan_in @ self.w
 
     def vjp_linear(self, dy):
-        return (dy @ self.w.T).reshape(self.x_shape)
+        x_shape = _need(self.x_shape, "fc input shape")
+        return (dy @ self.w.T).reshape(x_shape)
 
-    def lin_vjp(self, delta):
-        t = _need(self.tan_in, "fc tangent cache")
-        self.aux_dw += t.T @ delta
-        return self.vjp_linear(delta)
-
-    def aux_from_cot(self):
-        t = _need(self.tan_in, "fc tangent cache")
-        c = _need(self.cot_out, "fc cotangent cache")
-        self.aux_dw += t.T @ c
+    def weight_grad(self, a, dy):
+        return a.T @ dy, dy.sum(axis=0)
 
     def spec(self):
         return {"kind": "fc", "in_features": self.in_features, "out_features": self.out_features}
@@ -150,16 +148,8 @@ class Conv2D(Layer):
         fan_in = in_channels * kh * kw
         self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(filters, in_channels, kh, kw))
         self.b = np.zeros(filters)
-        self._reset_caches()
-
-    def _reset_caches(self):
-        self.x = None
-        self.in_hw = None
-        self.cot_out = None
-        self.tan_in = None
-        self.dw = None
-        self.db = None
         self.aux_dw = np.zeros_like(self.w)
+        self.in_hw = None
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -169,31 +159,17 @@ class Conv2D(Layer):
         self.in_hw = x.shape[2:]
         return conv2d(x, self.w, self.pad, self.stride, self.b)
 
-    def vjp(self, dy):
-        x = _need(self.x, "conv backward cache")
-        self.cot_out = dy
-        self.dw, self.db = conv2d_weight_grad(x, dy, self.kernel, self.pad, self.stride)
-        return conv2d_input_grad(dy, self.w, self.pad, self.stride, self.in_hw)
-
     def jvp(self, v):
-        _need(self.x, "conv backward cache")
+        _need(self.x, "conv input cache")
         self.tan_in = np.asarray(v, dtype=np.float64)
         return conv2d(self.tan_in, self.w, self.pad, self.stride)
 
     def vjp_linear(self, dy):
-        return conv2d_input_grad(dy, self.w, self.pad, self.stride, self.in_hw)
+        in_hw = _need(self.in_hw, "conv input geometry")
+        return conv2d_input_grad(dy, self.w, self.pad, self.stride, in_hw)
 
-    def lin_vjp(self, delta):
-        t = _need(self.tan_in, "conv tangent cache")
-        dw, _ = conv2d_weight_grad(t, delta, self.kernel, self.pad, self.stride)
-        self.aux_dw += dw
-        return self.vjp_linear(delta)
-
-    def aux_from_cot(self):
-        t = _need(self.tan_in, "conv tangent cache")
-        c = _need(self.cot_out, "conv cotangent cache")
-        dw, _ = conv2d_weight_grad(t, c, self.kernel, self.pad, self.stride)
-        self.aux_dw += dw
+    def weight_grad(self, a, dy):
+        return conv2d_weight_grad(a, dy, self.kernel, self.pad, self.stride)
 
     def spec(self):
         return {
@@ -217,12 +193,6 @@ class ReLU(Layer):
         self.mask = x > 0.0
         return np.where(self.mask, x, 0.0)
 
-    def vjp(self, dy):
-        return dy * _need(self.mask, "relu mask")
-
-    def jvp(self, v):
-        return v * _need(self.mask, "relu mask")
-
     def vjp_linear(self, dy):
         return dy * _need(self.mask, "relu mask")
 
@@ -242,18 +212,9 @@ class Sigmoid(Layer):
                           np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         return self.y
 
-    def _gain(self):
-        y = _need(self.y, "sigmoid output cache")
-        return y * (1.0 - y)
-
-    def vjp(self, dy):
-        return dy * self._gain()
-
-    def jvp(self, v):
-        return v * self._gain()
-
     def vjp_linear(self, dy):
-        return dy * self._gain()
+        y = _need(self.y, "sigmoid output cache")
+        return dy * (y * (1.0 - y))
 
     def spec(self):
         return {"kind": "sigmoid"}
@@ -261,7 +222,7 @@ class Sigmoid(Layer):
 
 class Softmax(Layer):
     """Row softmax. Its Jacobian diag(y) - y y^T is symmetric, so the
-    tangent push and cotangent pull use the same formula."""
+    tangent push is the cotangent pull."""
 
     def __init__(self):
         self.y = None
@@ -273,18 +234,9 @@ class Softmax(Layer):
         self.y = e / e.sum(axis=1, keepdims=True)
         return self.y
 
-    def _apply_jacobian(self, u):
-        y = _need(self.y, "softmax output cache")
-        return y * (u - (y * u).sum(axis=1, keepdims=True))
-
-    def vjp(self, dy):
-        return self._apply_jacobian(dy)
-
-    def jvp(self, v):
-        return self._apply_jacobian(v)
-
     def vjp_linear(self, dy):
-        return self._apply_jacobian(dy)
+        y = _need(self.y, "softmax output cache")
+        return y * (dy - (y * dy).sum(axis=1, keepdims=True))
 
     def spec(self):
         return {"kind": "softmax"}
@@ -308,9 +260,6 @@ class MaxPool2D(Layer):
         self.in_hw = x.shape[2:]
         out, self.argmax = maxpool_forward(x, self.window, self.stride)
         return out
-
-    def vjp(self, dy):
-        return maxpool_scatter(dy, _need(self.argmax, "maxpool positions"), self.in_hw)
 
     def jvp(self, v):
         return maxpool_gather(v, _need(self.argmax, "maxpool positions"), self.in_hw)
@@ -339,14 +288,11 @@ class MeanPool2D(Layer):
         self.in_hw = x.shape[2:]
         return meanpool_forward(x, self.window, self.stride)
 
-    def vjp(self, dy):
-        return meanpool_backward(dy, self.window, self.stride, _need(self.in_hw, "meanpool geometry"))
-
     def jvp(self, v):
         return meanpool_forward(np.asarray(v, dtype=np.float64), self.window, self.stride)
 
     def vjp_linear(self, dy):
-        return self.vjp(dy)
+        return meanpool_backward(dy, self.window, self.stride, _need(self.in_hw, "meanpool geometry"))
 
     def spec(self):
         return {"kind": "meanpool", "window": list(self.window), "stride": list(self.stride)}
@@ -375,12 +321,6 @@ class Dropout(Layer):
         keep = 1.0 - self.rate
         self.mask = (self.rng.random(x.shape) < keep) / keep
         return x * self.mask
-
-    def vjp(self, dy):
-        return dy * _need(self.mask, "dropout mask")
-
-    def jvp(self, v):
-        return v * _need(self.mask, "dropout mask")
 
     def vjp_linear(self, dy):
         return dy * _need(self.mask, "dropout mask")

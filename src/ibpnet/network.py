@@ -65,9 +65,9 @@ class Network:
 
     def vjp_linear(self, dy: np.ndarray, upto: int | None = None) -> np.ndarray:
         """Cotangent pull through the frozen Jacobians of layers[:upto] only;
-        no gradient or cache buffer is written. Layer for layer this applies
-        the same formulas as vjp, so the returned cotangent is bitwise equal
-        to the one a full backward pass would produce."""
+        no gradient or cache buffer is written. vjp pulls through the same
+        per-layer vjp_linear, so the returned cotangent is bitwise equal to
+        the one a full backward pass would produce."""
         for layer in reversed(self.layers[:upto]):
             dy = layer.vjp_linear(dy)
         return dy
@@ -105,9 +105,6 @@ class Network:
 
     def params(self):
         return [(l.w, l.b) for l in self.param_layers]
-
-    def grads(self):
-        return [(l.dw, l.db) for l in self.param_layers]
 
     def aux_grads(self):
         return [l.aux_dw for l in self.param_layers]

@@ -9,9 +9,7 @@ rotation act about the center.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 
 import numpy as np
 
@@ -84,24 +82,6 @@ def dataset_tangents(x: np.ndarray, sigma: float, normalize: bool = False) -> np
     return np.ascontiguousarray(t.transpose(0, 2, 1, 3, 4))
 
 
-def tangent_cache_path(cache_dir: str, x: np.ndarray, sigma: float,
-                       normalize: bool) -> str:
-    """Cache file name keyed by the dataset bytes and generation settings."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
-    h.update(f"sigma={sigma};normalize={normalize}".encode())
-    return os.path.join(cache_dir, f"tangents-{h.hexdigest()[:16]}.npy")
-
-
-def load_or_build_tangents(x: np.ndarray, sigma: float, normalize: bool = False,
-                           cache_dir: str | None = None) -> np.ndarray:
-    """dataset_tangents with an optional .npy cache."""
-    if cache_dir is None:
-        return dataset_tangents(x, sigma, normalize)
-    path = tangent_cache_path(cache_dir, x, sigma, normalize)
-    if os.path.exists(path):
-        return np.load(path)
-    t = dataset_tangents(x, sigma, normalize)
-    os.makedirs(cache_dir, exist_ok=True)
-    np.save(path, t)
-    return t
+def load_or_build_tangents(x: np.ndarray, sigma: float, normalize: bool = False) -> np.ndarray:
+    """dataset_tangents, built in memory; the entry point of the CLI."""
+    return dataset_tangents(x, sigma, normalize)

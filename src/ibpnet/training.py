@@ -91,26 +91,26 @@ class TrainConfig:
 
 @dataclass
 class GradientSet:
-    """Per-layer main and auxiliary gradients captured after a step."""
+    """Per-layer main gradients captured after a step, plus the auxiliary
+    weight gradients of the regularized steps (None for bp, at, fast-at)."""
 
     dw: list = field(default_factory=list)
     db: list = field(default_factory=list)
-    aux_dw: list = field(default_factory=list)
+    aux_dw: list | None = None
 
     @classmethod
-    def capture(cls, net: Network) -> "GradientSet":
+    def capture(cls, net: Network, aux: bool = False) -> "GradientSet":
         layers = net.param_layers
         return cls(
             dw=[l.dw for l in layers],
             db=[l.db for l in layers],
-            aux_dw=[l.aux_dw for l in layers],
+            aux_dw=[l.aux_dw for l in layers] if aux else None,
         )
 
     def average(self, other: "GradientSet") -> "GradientSet":
         return GradientSet(
             dw=[(a + b) / 2.0 for a, b in zip(self.dw, other.dw)],
             db=[(a + b) / 2.0 for a, b in zip(self.db, other.db)],
-            aux_dw=[(a + b) / 2.0 for a, b in zip(self.aux_dw, other.aux_dw)],
         )
 
 
@@ -155,7 +155,6 @@ def step_bp(net: Network, batch, cfg: TrainConfig):
     """Plain backpropagation: two passes, main gradients only."""
     x, labels = batch
     loss, _, _ = _main_passes(net, x, labels, cfg)
-    net.zero_aux()
     return loss, GradientSet.capture(net)
 
 
@@ -178,7 +177,7 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig):
         raw, seed = n * raw, n * seed
     net.jvp(seed, upto=top)
     net.aux_from_cot()
-    return loss, raw, GradientSet.capture(net)
+    return loss, raw, GradientSet.capture(net, aux=True)
 
 
 def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig) -> float:
@@ -201,7 +200,7 @@ def step_pred_ibp(net: Network, batch, cfg: TrainConfig):
     loss, dy0, _ = _main_passes(net, x, labels, cfg)
     net.zero_aux()
     aux = _tangent_lp_passes(net, [dy0], cfg)
-    return loss, aux, GradientSet.capture(net)
+    return loss, aux, GradientSet.capture(net, aux=True)
 
 
 def step_tbp(net: Network, batch, tangents, cfg: TrainConfig):
@@ -210,7 +209,7 @@ def step_tbp(net: Network, batch, tangents, cfg: TrainConfig):
     loss, _, _ = _main_passes(net, x, labels, cfg)
     net.zero_aux()
     aux = _tangent_lp_passes(net, tangents, cfg)
-    return loss, aux, GradientSet.capture(net)
+    return loss, aux, GradientSet.capture(net, aux=True)
 
 
 def _sum_tangents(tangents) -> np.ndarray:
@@ -236,7 +235,7 @@ def step_fast_tbp(net: Network, batch, tangents, cfg: TrainConfig):
     aux, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
     net.jvp(seed, upto=top)
     net.aux_from_cot()
-    return loss, aux, GradientSet.capture(net)
+    return loss, aux, GradientSet.capture(net, aux=True)
 
 
 def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float,
@@ -253,11 +252,9 @@ def step_at(net: Network, batch, cfg: TrainConfig):
     adversarially shifted x*."""
     x, labels = batch
     loss1, dy0, _ = _main_passes(net, x, labels, cfg)
-    net.zero_aux()
     first = GradientSet.capture(net)
     xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
     loss2, _, _ = _main_passes(net, xs, labels, cfg)
-    net.zero_aux()
     second = GradientSet.capture(net)
     return (loss1 + loss2) / 2.0, first.average(second)
 
@@ -271,7 +268,6 @@ def step_fast_at(net: Network, batch, cfg: TrainConfig):
     dy0 = net.vjp_linear(seed, upto=top)
     xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
     loss, _, _ = _main_passes(net, xs, labels, cfg)
-    net.zero_aux()
     return loss, GradientSet.capture(net)
 
 
@@ -314,11 +310,12 @@ class SgdMomentum:
         lr = self.lr_at(epoch)
         m = self.cfg.momentum
         beta = self.cfg.beta
+        aux = grads.aux_dw or [None] * len(grads.dw)
         for (w, b), (vw, vb), dw, db, adw in zip(
-            net.params(), self.velocity, grads.dw, grads.db, grads.aux_dw
+            net.params(), self.velocity, grads.dw, grads.db, aux
         ):
             # adding beta*0 could still flip signed zeros, so branch instead
-            g = dw + beta * adw if beta != 0.0 and adw.any() else dw
+            g = dw + beta * adw if adw is not None and beta != 0.0 and adw.any() else dw
             if not (np.isfinite(g).all() and np.isfinite(db).all()):
                 raise NumericError("non-finite gradient in sgd update")
             vw *= m

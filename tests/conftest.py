@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from ibpnet.datasets import ensure_builtin_digits, ensure_builtin_glyphs, load_split_pair
@@ -33,11 +32,3 @@ def digits_dir(tmp_path_factory) -> str:
 def digits_pair(digits_dir):
     """(train, test) Datasets of the built-in digits."""
     return load_split_pair(digits_dir, "digits")
-
-
-def make_batch(rng: np.random.Generator, n: int, in_shape, classes: int):
-    """Synthetic (images, one-hot labels) batch."""
-    x = rng.normal(0.0, 0.5, size=(n,) + tuple(in_shape))
-    labels = np.zeros((n, classes))
-    labels[np.arange(n), rng.integers(0, classes, size=n)] = 1.0
-    return x, labels

@@ -27,7 +27,7 @@ from ibpnet.network import Network
 from ibpnet.presets import acceptance_net
 from ibpnet.tensor import conv2d, conv2d_input_grad, maxpool_forward
 
-from conftest import make_batch
+from batches import make_batch
 
 
 def one_param_net(w0):

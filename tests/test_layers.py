@@ -321,10 +321,13 @@ class TestCacheLifetimes:
         (Softmax(), (2, 4)),
         (MaxPool2D((2, 2), (2, 2)), (2, 1, 2, 2)),
         (Dropout(0.5, np.random.default_rng(0)), (2, 4)),
+        (MeanPool2D((2, 2), (2, 2)), (2, 1, 2, 2)),
     ])
     def test_pull_before_forward_raises(self, layer, dy_shape):
         with pytest.raises(StateError):
             layer.vjp(np.ones(dy_shape))
+        with pytest.raises(StateError):
+            layer.vjp_linear(np.ones(dy_shape))
 
     def test_aux_before_tangent_push_raises(self):
         rng = np.random.default_rng(25)

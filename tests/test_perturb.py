@@ -14,7 +14,7 @@ from ibpnet.perturb import (
 from ibpnet.presets import acceptance_net
 from ibpnet.training import error_rate
 
-from conftest import make_batch
+from batches import make_batch
 
 
 @pytest.fixture()

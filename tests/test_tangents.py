@@ -16,7 +16,6 @@ from ibpnet.tangents import (
     gaussian_kernel1d,
     gaussian_smooth,
     load_or_build_tangents,
-    tangent_cache_path,
     tangent_vectors,
 )
 
@@ -178,25 +177,6 @@ class TestDatasetTangents:
 
 
 class TestCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, 1, 9, 9))
-        first = load_or_build_tangents(x, 0.9, cache_dir=str(tmp_path))
-        path = tangent_cache_path(str(tmp_path), x, 0.9, False)
-        assert list(tmp_path.iterdir()) == [tmp_path / path.split("/")[-1]]
-        second = load_or_build_tangents(x, 0.9, cache_dir=str(tmp_path))
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(first, dataset_tangents(x, 0.9))
-
-    def test_path_keyed_by_settings_and_data(self, tmp_path):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 1, 9, 9))
-        base = tangent_cache_path(str(tmp_path), x, 0.9, False)
-        assert tangent_cache_path(str(tmp_path), x, 1.0, False) != base
-        assert tangent_cache_path(str(tmp_path), x, 0.9, True) != base
-        assert tangent_cache_path(str(tmp_path), x + 1.0, 0.9, False) != base
-        assert tangent_cache_path(str(tmp_path), x.copy(), 0.9, False) == base
-
     def test_no_cache_dir_builds_directly(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 1, 9, 9))

@@ -109,6 +109,15 @@ class TestSgdMomentum:
         sgd_update(b, const_grads(0.3, adw=7.0), with_aux, epoch=0)
         np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
 
+    def test_absent_aux_equals_zero_aux_bitwise(self):
+        a, b = one_param_net(1.0), one_param_net(1.0)
+        cfg = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.1, momentum=0.9, decay=1.0)
+        main_only = GradientSet(dw=[np.array([[0.3]])], db=[np.zeros(1)])
+        sgd_update(a, main_only, cfg, epoch=0)
+        sgd_update(b, const_grads(0.3, adw=0.0), cfg, epoch=0)
+        assert a.layers[0].w[0, 0] != 1.0
+        np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
+
 
 class TestAdversarialShift:
     def test_epsilon_zero_is_the_same_object(self):
@@ -239,6 +248,19 @@ class TestRunStep:
         for algo in ("bp", "at", "fast-at"):
             res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo))
             assert res.aux_loss == 0.0
+
+    def test_aux_gradients_only_from_regularized_algos(self):
+        rng = np.random.default_rng(9)
+        x, labels = make_batch(rng, 4, (1, 7, 7), 16)
+        tangents = [rng.normal(size=x.shape)]
+        for algo in ("bp", "at", "fast-at"):
+            res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo))
+            assert res.grads.aux_dw is None
+        for algo in ("loss-ibp", "pred-ibp", "tbp", "fast-tbp"):
+            res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo, beta=1.0),
+                           tangents)
+            assert [a.shape for a in res.grads.aux_dw] == [w.shape for w, _ in
+                                                           acceptance_net(0).params()]
 
 
 class TestInputGradient:
