@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .datasets import (
     AugmentSpec,
     Dataset,
-    augment,
     augment_batch,
     load_cifar10,
     load_mnist,
@@ -98,7 +97,6 @@ __all__ = [
     "adversarial_shift",
     "adversarial_testset",
     "all_passed",
-    "augment",
     "augment_batch",
     "aux_loss_direction",
     "aux_loss_dot",

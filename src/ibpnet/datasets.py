@@ -5,9 +5,16 @@ digits generated with NumPy alone) and `digits` (scikit-learn's bundled
 8x8 digits, upsampled).
 
 Pixels are scaled to [0, 1] and the mean pixel of the training split is
-subtracted; the same mean is reused for the test split. Augmentation draws a
-fresh transform per access: scale, then rotate, then shift, all about the
-image center, resampled bilinearly with zero fill outside the source.
+subtracted; the same mean is reused for the test split.
+
+Augmentation (`augment_batch`) draws a fresh transform for every image of a
+batch: scale, then rotate, then shift, all about the image center. The draws
+come from the generator passed in (`ibpnet train --augment` passes
+`rng_stream(seed, "augment")`) as one (N, 5) uniform array, per image in the
+order scale x, scale y, degrees, shift x, shift y. The whole batch is then
+resampled bilinearly in one gather, with zero fill outside the source. tbp
+and fast-tbp still penalize the tangents of the unwarped images, not of the
+warped batch they train on, so augmented tbp results carry that caveat.
 """
 
 from __future__ import annotations
@@ -198,72 +205,86 @@ class AugmentSpec:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ConfigError(f"augment {name} range inverted: ({lo}, {hi})")
+        if self.scale[0] <= 0:
+            raise ConfigError(f"augment scale must be positive: {tuple(self.scale)}")
 
 
-def bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                     fill: float = 0.0) -> np.ndarray:
-    """Sample img (C, H, W) at fractional (rows, cols); out-of-bounds reads
-    use the fill value."""
-    c, h, w = img.shape
+    """Sample each image of imgs (N, C, H, W) at its own fractional
+    (rows, cols), both (N, ...), in one gather; out-of-bounds taps read the
+    fill value."""
+    n, c, h, w = imgs.shape
+    # channels last inside a one-pixel border of fill: clipped to the border,
+    # every tap off the image reads the fill value
+    pad = np.full((n, h + 2, w + 2, c), fill)
+    pad[:, 1:-1, 1:-1] = imgs.transpose(0, 2, 3, 1)
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
     fr = rows - r0
     fc = cols - c0
-    out = np.full((c,) + rows.shape, fill)
-    acc = np.zeros_like(out)
-    for dr, dc, weight in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    ):
-        rr = r0 + dr
-        cc = c0 + dc
-        ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        vals = img[:, np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)]
-        acc += weight * np.where(ok, vals, fill)
-    out[...] = acc
-    return out
+    base = (np.arange(n) * (h + 2)).reshape((n,) + (1,) * (rows.ndim - 1))
+    top, bottom = ((np.clip(r0 + d, 0, h + 1) + base) * (w + 2) for d in (1, 2))
+    left, right = (np.clip(c0 + d, 0, w + 1) for d in (1, 2))
+    taps = pad.reshape(-1, c)[np.stack([top + left, top + right,
+                                        bottom + left, bottom + right])]
+    acc = np.zeros((n, c) + rows.shape[1:])
+    for weight, vals in zip(((1 - fr) * (1 - fc), (1 - fr) * fc,
+                             fr * (1 - fc), fr * fc), taps):
+        acc += weight[:, None] * np.moveaxis(vals, -1, 1)
+    return acc
+
+
+def _affine_batch(x: np.ndarray, matrices: np.ndarray, offsets: np.ndarray,
+                  fill: float) -> np.ndarray:
+    """Resample each image of x (N, C, H, W) under its forward map
+    p' = matrices[i] @ p + offsets[i] about the image center, where
+    p = (x, y) in centered pixel coordinates."""
+    h, w = x.shape[2:]
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64) - cx,
+                         np.arange(h, dtype=np.float64) - cy)
+    inv = np.linalg.inv(matrices)[..., None, None]  # (N, 2, 2, 1, 1)
+    dx = gx - offsets[:, 0, None, None]
+    dy = gy - offsets[:, 1, None, None]
+    sx = inv[:, 0, 0] * dx + inv[:, 0, 1] * dy
+    sy = inv[:, 1, 0] * dx + inv[:, 1, 1] * dy
+    return bilinear_sample(x, sy + cy, sx + cx, fill)
 
 
 def affine_sample(img: np.ndarray, matrix: np.ndarray, offset,
                   fill: float = 0.0) -> np.ndarray:
-    """Resample img under the forward map p' = matrix @ p + offset about the
-    image center, where p = (x, y) in centered pixel coordinates."""
+    """Resample img (C, H, W) under the forward map p' = matrix @ p + offset
+    about the image center, where p = (x, y) in centered pixel coordinates."""
     img = np.asarray(img, dtype=np.float64)
-    c, h, w = img.shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    xs = np.arange(w, dtype=np.float64) - cx
-    ys = np.arange(h, dtype=np.float64) - cy
-    gx, gy = np.meshgrid(xs, ys)
-    inv = np.linalg.inv(matrix)
-    sx = inv[0, 0] * (gx - offset[0]) + inv[0, 1] * (gy - offset[1])
-    sy = inv[1, 0] * (gx - offset[0]) + inv[1, 1] * (gy - offset[1])
-    return bilinear_sample(img, sy + cy, sx + cx, fill)
+    return _affine_batch(img[None], np.asarray(matrix, dtype=np.float64)[None],
+                         np.asarray(offset, dtype=np.float64)[None], fill)[0]
 
 
-def _scale_rotate_matrix(sx: float, sy: float, degrees: float) -> np.ndarray:
-    """2x2 map that scales x by sx and y by sy, then rotates by degrees."""
-    theta = math.radians(degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-    return rot @ np.diag([sx, sy])
+def _scale_rotate_matrices(sx, sy, degrees) -> np.ndarray:
+    """(N, 2, 2) maps that scale x by sx and y by sy, then rotate by degrees.
 
-
-def augment(img: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    """One fresh scale -> rotate -> shift draw applied to img (C, H, W)."""
-    sx = rng.uniform(*spec.scale)
-    sy = rng.uniform(*spec.scale)
-    degrees = rng.uniform(*spec.rotation)
-    dx = rng.uniform(*spec.shift)
-    dy = rng.uniform(*spec.shift)
-    matrix = _scale_rotate_matrix(sx, sy, degrees)
-    return affine_sample(img, matrix, (dx, dy), spec.fill)
+    Angles go through math.cos and math.sin: np.cos and np.sin may round
+    differently in the last bit, which would change every augmented model.
+    """
+    theta = [math.radians(d) for d in degrees]
+    cos_t = np.array([math.cos(t) for t in theta])
+    sin_t = np.array([math.sin(t) for t in theta])
+    return np.stack([cos_t * sx, -sin_t * sy, sin_t * sx, cos_t * sy],
+                    axis=1).reshape(-1, 2, 2)
 
 
 def augment_batch(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    """Independent augment draws for each image of a batch."""
-    return np.stack([augment(img, spec, rng) for img in x])
+    """A fresh scale -> rotate -> shift draw for each image of x (N, C, H, W).
+
+    One draw of (N, 5) uniforms, per image in the order scale x, scale y,
+    degrees, shift x, shift y; the batch is then resampled in one gather.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lo, hi = np.transpose([spec.scale, spec.scale, spec.rotation, spec.shift, spec.shift])
+    p = rng.uniform(lo, hi, size=(x.shape[0], 5))
+    matrices = _scale_rotate_matrices(p[:, 0], p[:, 1], p[:, 2])
+    return _affine_batch(x, matrices, p[:, 3:], spec.fill)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +301,10 @@ DIGITS_FILES = (
 
 def _upsample(img8: np.ndarray, size: int = 28) -> np.ndarray:
     """Bilinear upsample of one (8, 8) image to (size, size)."""
-    src = img8[None].astype(np.float64)
+    src = img8[None, None].astype(np.float64)
     pos = np.linspace(0.0, img8.shape[0] - 1.0, size)
     rows, cols = np.meshgrid(pos, pos, indexing="ij")
-    return bilinear_sample(src, rows, cols)[0]
+    return bilinear_sample(src, rows[None], cols[None])[0, 0]
 
 
 def ensure_builtin_digits(root: str, train_count: int = 1500) -> dict:
@@ -414,10 +435,10 @@ def _glyph_split(per_class: int, tag: str) -> tuple:
     noise = rng.normal(0.0, _GLYPH_NOISE, size=(n, _GLYPH_SIZE, _GLYPH_SIZE))
     labels = np.tile(np.arange(10, dtype=np.uint8), per_class)
     strokes = _glyph_strokes()
+    matrices = _scale_rotate_matrices(scale[:, 0], scale[:, 1], degrees)
     images = np.empty((n, _GLYPH_SIZE, _GLYPH_SIZE), dtype=np.uint8)
     for i in range(n):
-        matrix = _scale_rotate_matrix(scale[i, 0], scale[i, 1], degrees[i])
-        img = _render_glyph(strokes[labels[i]], matrix, shift[i], width[i])
+        img = _render_glyph(strokes[labels[i]], matrices[i], shift[i], width[i])
         images[i] = np.rint(np.clip(img + noise[i], 0.0, 1.0) * 255.0)
     return images, labels
 

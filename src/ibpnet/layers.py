@@ -208,8 +208,8 @@ class Sigmoid(Layer):
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
-        self.y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                          np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        self.y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return self.y
 
     def vjp_linear(self, dy):

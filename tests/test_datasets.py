@@ -2,6 +2,7 @@
 subsets, the affine augmentation, and the built-in digit and glyph files."""
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -14,8 +15,8 @@ from ibpnet.datasets import (
     GLYPHS_SUBDIR,
     MNIST_FILES,
     Dataset,
+    _upsample,
     affine_sample,
-    augment,
     augment_batch,
     denormalize,
     ensure_builtin_digits,
@@ -197,8 +198,8 @@ class TestAugment:
         rng_b = np.random.default_rng(5)
         spec = AugmentSpec(shift=(2.0, 2.0), scale=(1.0, 1.0), rotation=(0.0, 0.0))
         img = np.random.default_rng(6).random((1, 9, 9))
-        got = augment(img, spec, rng_a)
-        also = augment(img, spec, rng_b)  # no randomness left in the ranges
+        got = augment_batch(img[None], spec, rng_a)[0]
+        also = augment_batch(img[None], spec, rng_b)[0]  # no randomness left
         np.testing.assert_array_equal(got, also)
         np.testing.assert_allclose(got, affine_sample(img, np.eye(2), (2.0, 2.0)),
                                    rtol=0, atol=1e-12)
@@ -207,7 +208,7 @@ class TestAugment:
         ys, xs = np.indices((15, 15), dtype=np.float64)
         blob = np.exp(-((xs - 7) ** 2 + (ys - 7) ** 2) / 8.0)[None]
         spec = AugmentSpec(shift=(0.0, 0.0), scale=(1.0, 1.0), rotation=(18.0, 18.0))
-        out = augment(blob, spec, np.random.default_rng(7))
+        out = augment_batch(blob[None], spec, np.random.default_rng(7))[0]
         assert 0.8 < out.sum() / blob.sum() < 1.2
 
     def test_batch_draws_independent_transforms(self):
@@ -218,9 +219,84 @@ class TestAugment:
         assert out.shape == batch.shape
         assert not np.array_equal(out[0], out[1])
 
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ConfigError, match="range inverted"):
-            AugmentSpec(shift=(2.0, -2.0))
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(shift=(2.0, -2.0)), "range inverted"),
+        (dict(scale=(0.0, 0.0)), "scale must be positive"),
+        (dict(scale=(-0.5, 1.0)), "scale must be positive"),
+    ], ids=["inverted", "zero-scale", "negative-scale"])
+    def test_inverted_range_rejected(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            AugmentSpec(**kwargs)
+
+
+# Reference: augmentation one image at a time, each image drawing its five
+# parameters in turn and resampled by its own bilinear gather. The batched
+# augment_batch must reproduce it bit for bit, with the same generator state.
+
+def ref_bilinear(img, rows, cols, fill=0.0):
+    c, h, w = img.shape
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr = rows - r0
+    fc = cols - c0
+    acc = np.zeros((c,) + rows.shape)
+    for dr, dc, weight in (
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    ):
+        rr = r0 + dr
+        cc = c0 + dc
+        ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        vals = img[:, np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)]
+        acc += weight * np.where(ok, vals, fill)
+    return acc
+
+
+def ref_augment(img, spec, rng):
+    sx = rng.uniform(*spec.scale)
+    sy = rng.uniform(*spec.scale)
+    theta = math.radians(rng.uniform(*spec.rotation))
+    dx = rng.uniform(*spec.shift)
+    dy = rng.uniform(*spec.shift)
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    inv = np.linalg.inv(rot @ np.diag([sx, sy]))
+    c, h, w = img.shape
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64) - cx,
+                         np.arange(h, dtype=np.float64) - cy)
+    src_x = inv[0, 0] * (gx - dx) + inv[0, 1] * (gy - dy)
+    src_y = inv[1, 0] * (gx - dx) + inv[1, 1] * (gy - dy)
+    return ref_bilinear(img, src_y + cy, src_x + cx, spec.fill)
+
+
+class TestAugmentBatchAgainstReference:
+    @pytest.mark.parametrize("shape, spec", [
+        ((1, 1, 28, 28), AugmentSpec()),
+        ((32, 1, 28, 28), AugmentSpec()),
+        ((33, 1, 28, 28), AugmentSpec()),
+        ((4, 3, 32, 32), AugmentSpec()),
+        ((5, 1, 28, 28), AugmentSpec(shift=(2.0, 2.0), scale=(1.0, 1.0),
+                                     rotation=(0.0, 0.0))),
+        ((6, 1, 28, 28), AugmentSpec(fill=0.5)),
+    ], ids=["n1", "n32", "n33", "rgb32", "degenerate", "fill"])
+    def test_bitwise_with_same_next_draw(self, shape, spec):
+        x = np.random.default_rng(11).random(shape) - 0.25
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        got = augment_batch(x, spec, rng)
+        want = np.stack([ref_augment(img, spec, ref_rng) for img in x])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_upsample_bitwise(self):
+        img8 = np.random.default_rng(13).random((8, 8))
+        pos = np.linspace(0.0, 7.0, 28)
+        rows, cols = np.meshgrid(pos, pos, indexing="ij")
+        want = ref_bilinear(img8[None], rows, cols)[0]
+        assert _upsample(img8).tobytes() == want.tobytes()
 
 
 class TestBuiltinDigits:
