@@ -18,8 +18,8 @@ From these the base ``Layer`` builds:
 * ``jvp(v)``: by default ``vjp_linear``, since the Jacobian is symmetric.
 * ``vjp(dy)``: the backward pass; on parametric layers it caches
   ``cot_out`` and fills ``dw``/``db`` before pulling.
-* ``lin_vjp(delta)``: pull back through the linearized layer, accumulating
-  ``aux_dw`` against the tangent input cached by ``jvp``.
+* ``lin_vjp(delta, pull=True)``: accumulate ``aux_dw`` against the tangent
+  input cached by ``jvp``, then pull back unless ``pull`` is False.
 * ``aux_from_cot()``: the cheap alternative to ``lin_vjp``. It contracts the
   cached tangent input with the cotangent cached by ``vjp``, which yields
   the auxiliary weight gradient directly when the auxiliary loss is a
@@ -75,11 +75,11 @@ class Layer:
             self.dw, self.db = self.weight_grad(x, dy)
         return self.vjp_linear(dy)
 
-    def lin_vjp(self, delta: np.ndarray) -> np.ndarray:
+    def lin_vjp(self, delta: np.ndarray, pull: bool = True) -> np.ndarray | None:
         if self.has_params:
             t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
             self.aux_dw += self.weight_grad(t, delta)[0]
-        return self.vjp_linear(delta)
+        return self.vjp_linear(delta) if pull else None
 
     def aux_from_cot(self):
         t = _need(self.tan_in, f"{type(self).__name__} tangent cache")

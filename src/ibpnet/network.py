@@ -82,14 +82,17 @@ class Network:
         return v
 
     def lin_vjp(self, delta: np.ndarray, upto: int | None = None,
-                skip_softmax: bool = False) -> np.ndarray:
+                skip_softmax: bool = False) -> None:
         """Cotangent pull through the linearized network, accumulating
-        auxiliary weight gradients against the tangents cached by jvp."""
-        for layer in reversed(self.layers[:upto]):
-            if skip_softmax and isinstance(layer, Softmax):
+        auxiliary weight gradients against the tangents cached by jvp. Only
+        those are read, so the pull stops at the lowest weight layer, which
+        just contracts. Returns None; does nothing without weight layers."""
+        stack = self.layers[:upto]
+        bottom = next((i for i, l in enumerate(stack) if l.has_params), len(stack))
+        for i in range(len(stack) - 1, bottom - 1, -1):
+            if skip_softmax and isinstance(stack[i], Softmax):
                 continue
-            delta = layer.lin_vjp(delta)
-        return delta
+            delta = stack[i].lin_vjp(delta, pull=i > bottom)
 
     def zero_aux(self):
         # fresh buffers, so gradient sets captured earlier keep their values

@@ -1,10 +1,10 @@
 """Corrupted test sets and error-vs-noise-level sweeps.
 
 Adversarial corruption shifts each pixel by epsilon in the direction of the
-loss gradient sign, computed against the true labels; Gaussian corruption
-adds N(0, sigma^2) noise from a per-level RNG stream, so results do not
-depend on the order in which levels are evaluated. Sweeps emit one CSV row
-per level with the schema `kind,level,error,n,seed`.
+loss gradient sign, computed against the true labels once per sweep;
+Gaussian corruption adds N(0, sigma^2) noise from a per-level RNG stream,
+so results do not depend on the order in which levels are evaluated. Sweeps
+emit one CSV row per level with the schema `kind,level,error,n,seed`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,12 @@ def adversarial_testset(net: Network, images: np.ndarray, labels: np.ndarray,
     if epsilon == 0.0:
         return images
     grad = input_gradient(net, images, labels, batch_size=batch_size)
-    out = images + epsilon * sign(grad)
+    return _shift(images, sign(grad), epsilon, clip)
+
+
+def _shift(images, direction, epsilon: float, clip: bool = False) -> np.ndarray:
+    """images + epsilon * direction, optionally clipped to [0, 1]."""
+    out = images + epsilon * direction
     return np.clip(out, 0.0, 1.0) if clip else out
 
 
@@ -77,12 +82,15 @@ def sweep(net: Network, images: np.ndarray, labels: np.ndarray, kind: str,
         raise ConfigError("sweep levels must start at 0")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"sweep levels must be strictly increasing: {levels}")
-    errors = []
+    errors, direction = [], None
     for level in levels:
-        if kind == "adversarial":
-            corrupted = adversarial_testset(net, images, labels, level,
-                                            batch_size=batch_size)
-        else:
+        if kind == "gaussian":
             corrupted = gaussian_testset(images, level, seed)
+        elif level == 0.0:
+            corrupted = images
+        else:
+            if direction is None:  # the same at every level, so computed once
+                direction = sign(input_gradient(net, images, labels, batch_size=batch_size))
+            corrupted = _shift(images, direction, level)
         errors.append(error_rate(net, corrupted, labels, batch_size=batch_size))
     return NoiseSweep(kind, levels, errors, images.shape[0], seed)

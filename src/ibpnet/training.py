@@ -8,7 +8,8 @@ current batch*:
   input cotangent; auxiliary weight gradients come directly from contracting
   the pushed tangents with the cotangents cached by the main backward pass.
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
-  penalty there, and a pull back down accumulating auxiliary gradients.
+  penalty there, and a pull back down to the lowest weight layer
+  accumulating auxiliary gradients.
   pred-ibp is exactly tbp with the input cotangent as its single tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and

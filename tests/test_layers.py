@@ -338,3 +338,27 @@ class TestCacheLifetimes:
             fc.lin_vjp(np.ones((2, 3)))  # no jvp yet, no cached tangent
         with pytest.raises(StateError):
             fc.aux_from_cot()
+
+
+class TestLinVjpPull:
+    @pytest.mark.parametrize("make, x_shape, dy_shape", [
+        (lambda rng: FullyConnected(6, 4, rng), (3, 6), (3, 4)),
+        (lambda rng: Conv2D(2, 3, (3, 3), (1, 1), (1, 1), rng), (2, 2, 5, 5), (2, 3, 5, 5)),
+        (lambda rng: ReLU(), (3, 5), (3, 5)),
+    ])
+    def test_returns_the_pulled_cotangent_unless_told_not_to(self, make, x_shape,
+                                                             dy_shape):
+        rng = np.random.default_rng(26)
+        layer = make(rng)
+        layer.forward(rng.normal(size=x_shape))
+        layer.jvp(rng.normal(size=x_shape))
+        delta = rng.normal(size=dy_shape)
+        pulled = layer.lin_vjp(delta)
+        np.testing.assert_array_equal(pulled, layer.vjp_linear(delta))
+        if layer.has_params:
+            once = layer.aux_dw.copy()
+            layer.aux_dw[:] = 0.0
+        assert layer.lin_vjp(delta, pull=False) is None
+        if layer.has_params:
+            # the contraction still runs, bitwise as with the pull
+            np.testing.assert_array_equal(layer.aux_dw, once)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ibpnet.errors import FormatError
-from ibpnet.layers import FullyConnected, ReLU, Softmax
+from ibpnet.layers import Dropout, FullyConnected, MaxPool2D, ReLU, Softmax
 from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec
 from ibpnet.presets import acceptance_net, zoo_net
 from ibpnet.tensor import rng_stream
@@ -85,6 +85,66 @@ class TestPasses:
         x = rng.normal(size=(23, 1, 7, 7))
         np.testing.assert_array_equal(batched_forward(net, x, batch_size=7),
                                       net.forward(x))
+
+
+def record_pulls(net):
+    """Wrap every layer's vjp_linear; returns the list of layer indices
+    pulled through, in call order."""
+    pulled = []
+    for i, layer in enumerate(net.layers):
+        def pull(dy, i=i, inner=layer.vjp_linear):
+            pulled.append(i)
+            return inner(dy)
+        layer.vjp_linear = pull
+    return pulled
+
+
+class TestLinVjpStopsAtLowestWeightLayer:
+    @staticmethod
+    def pool_dropout_net():
+        rng = np.random.default_rng(5)
+        return Network([MaxPool2D((2, 2), (2, 2)), Dropout(0.3, rng_stream(5, "d")),
+                        FullyConnected(9, 8, rng), ReLU(),
+                        FullyConnected(8, 3, rng), Softmax()])
+
+    def test_nothing_pulls_below_the_lowest_weight_layer(self):
+        rng = np.random.default_rng(6)
+        net, ref = self.pool_dropout_net(), self.pool_dropout_net()
+        x = rng.normal(size=(4, 1, 6, 6))
+        v = rng.normal(size=x.shape)
+        delta = rng.normal(size=(4, 3))
+        for n in (net, ref):
+            n.forward(x, train=True)
+            n.jvp(v, skip_softmax=True)
+            n.zero_aux()
+        pulled = record_pulls(net)
+        assert net.lin_vjp(delta, skip_softmax=True) is None
+        assert pulled == [4, 3]  # fc2 and relu; fc1 only contracts
+        d = delta
+        for layer in reversed(ref.layers[:-1]):  # a full pull to the input
+            d = layer.lin_vjp(d)
+        for got, want in zip(net.aux_grads(), ref.aux_grads()):
+            assert want.any()
+            np.testing.assert_array_equal(got, want)
+
+    def test_range_without_weight_layers_does_nothing(self):
+        rng = np.random.default_rng(7)
+        net = self.pool_dropout_net()
+        x = rng.normal(size=(4, 1, 6, 6))
+        net.forward(x, train=True)
+        net.jvp(rng.normal(size=x.shape), upto=2)
+        net.zero_aux()
+        pulled = record_pulls(net)
+        assert net.lin_vjp(rng.normal(size=(4, 1, 3, 3)), upto=2) is None
+        assert pulled == []
+        assert not any(aw.any() for aw in net.aux_grads())
+
+        bare = Network([ReLU(), Softmax()])
+        bare.forward(rng.normal(size=(4, 3)))
+        pulled = record_pulls(bare)
+        assert bare.lin_vjp(rng.normal(size=(4, 3))) is None
+        assert bare.lin_vjp(rng.normal(size=(4, 3)), skip_softmax=True) is None
+        assert pulled == []
 
 
 class TestModelFile:

@@ -4,6 +4,7 @@ determinism, and the CSV row schema."""
 import numpy as np
 import pytest
 
+from ibpnet import perturb
 from ibpnet.errors import ConfigError
 from ibpnet.perturb import (
     CSV_HEADER,
@@ -94,6 +95,25 @@ class TestSweep:
             sweep(net, x, labels, "gaussian", [0.0, 0.2, 0.1], seed=0)
         with pytest.raises(ConfigError, match="kind"):
             sweep(net, x, labels, "saltpepper", [0.0], seed=0)
+
+    def test_adversarial_direction_computed_once_per_sweep(self, net_and_data,
+                                                           monkeypatch):
+        net, x, labels = net_and_data
+        levels = [0.0, 0.05, 0.1, 0.2]
+        want = [error_rate(net, adversarial_testset(net, x, labels, eps), labels)
+                for eps in levels]
+        calls = []
+        gradient = perturb.input_gradient
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return gradient(*args, **kw)
+
+        monkeypatch.setattr(perturb, "input_gradient", counted)
+        sw = sweep(net, x, labels, "adversarial", levels, seed=0)
+        assert len(calls) == 1
+        assert sw.errors == want
+        assert len(set(want)) > 1  # the levels really differ
 
     def test_csv_schema(self, net_and_data, tmp_path):
         net, x, labels = net_and_data

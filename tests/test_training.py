@@ -8,7 +8,8 @@ from ibpnet.errors import ConfigError
 from ibpnet.gradcheck import rel_error
 from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network
-from ibpnet.presets import acceptance_net
+from ibpnet.losses import aux_loss_lp
+from ibpnet.presets import acceptance_net, mnist_tiny_net, zoo_net
 from ibpnet.training import (
     GradientSet,
     SgdMomentum,
@@ -232,6 +233,70 @@ class TestFastTbpFiveTangents:
         assert len(pushes) == 1
         for t, s in zip(tangents, saved):
             np.testing.assert_array_equal(t, s)
+
+
+class TestAuxPullStopsAtLowestWeightLayer:
+    """tbp (five distinct non-zero tangents) and pred-ibp against a reference
+    that pulls every tangent's seed all the way down to the input."""
+
+    NETS = {
+        "acceptance": (acceptance_net, (1, 7, 7), 16),
+        "zoo": (zoo_net, (1, 9, 9), 5),
+        "mnist-tiny": (mnist_tiny_net, (1, 28, 28), 10),
+    }
+
+    @staticmethod
+    def full_pull_reference(net, batch, tangents, r):
+        x, labels = batch
+        n = x.shape[0]
+        probs = net.forward(x, train=True)
+        dy0 = net.vjp((probs - labels) / n, upto=len(net.layers) - 1)
+        net.zero_aux()
+        total = 0.0
+        for t in (tangents if tangents is not None else [dy0]):
+            raw, seed = aux_loss_lp(net.jvp(t, skip_softmax=True), r)
+            total += raw / n
+            delta = seed / n
+            for layer in reversed(net.layers[:-1]):  # below the final softmax
+                delta = layer.lin_vjp(delta)
+        return total, [l.aux_dw.copy() for l in net.param_layers]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("algo", ["tbp", "pred-ibp"])
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_bitwise_equal_to_full_pull_and_never_pulls_lowest(self, name, algo, r):
+        make, in_shape, classes = self.NETS[name]
+        rng = np.random.default_rng(19)
+        x, labels = make_batch(rng, 6, in_shape, classes)
+        tangents = None
+        if algo == "tbp":
+            tangents = [rng.normal(0.0, 0.5, size=x.shape) for _ in range(5)]
+        cfg = TrainConfig(algo=algo, beta=0.1, r=r)
+
+        net = make(20)
+        lowest, phase, aux_pulls = net.param_layers[0], ["main"], []
+        pull, lin_vjp = lowest.vjp_linear, net.lin_vjp
+
+        def recorded_pull(dy):
+            aux_pulls.append(phase[0])
+            return pull(dy)
+
+        def aux_phase(*args, **kw):
+            phase[0] = "aux"
+            try:
+                return lin_vjp(*args, **kw)
+            finally:
+                phase[0] = "main"
+
+        lowest.vjp_linear, net.lin_vjp = recorded_pull, aux_phase
+        res = run_step(net, (x, labels), cfg, tangents)
+        assert aux_pulls == ["main"]  # the main backward pass only
+
+        ref_aux, ref_dw = self.full_pull_reference(make(20), (x, labels), tangents, r)
+        assert res.aux_loss == ref_aux
+        for got, want in zip(res.grads.aux_dw, ref_dw):
+            assert want.any()
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRunStep:
