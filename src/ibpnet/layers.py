@@ -5,6 +5,9 @@ A subclass defines:
 
 * ``forward(x, train)``: compute the activation and cache whatever the
   Jacobian at this batch needs (inputs, masks, max positions).
+* ``predict(x)``, only where inference can skip work (the base runs
+  ``forward(x, False)``): max pooling drops its positions, so a pull or a
+  push after it raises ``StateError``.
 * ``vjp_linear(dy)``: pull a cotangent through that frozen Jacobian.
 * ``jvp(v)``, only where the Jacobian is not symmetric: push a tangent
   through the layer linearized at the cached batch. Biases vanish under
@@ -60,6 +63,9 @@ class Layer:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x, train=False)
 
     def vjp_linear(self, dy: np.ndarray) -> np.ndarray:
         """Pullback through the frozen Jacobian only (no weight gradients)."""
@@ -259,6 +265,12 @@ class MaxPool2D(Layer):
         x = np.asarray(x, dtype=np.float64)
         self.in_hw = x.shape[2:]
         out, self.argmax = maxpool_forward(x, self.window, self.stride)
+        return out
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        self.in_hw = x.shape[2:]
+        out, self.argmax = maxpool_forward(x, self.window, self.stride, positions=False)
         return out
 
     def jvp(self, v):

@@ -1,4 +1,5 @@
-"""Layer stack container, pass orchestration over it, and the model file format.
+"""Layer stack container, its pass loops (``predict`` is the inference
+forward, without the max positions a pull reads) and the model file format.
 
 Model file layout (all integers little-endian):
 
@@ -50,6 +51,12 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train=train)
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Inference output, bitwise forward(x, train=False); no max positions."""
+        for layer in self.layers:
+            x = layer.predict(x)
         return x
 
     def vjp(self, dy: np.ndarray, upto: int | None = None) -> np.ndarray:
@@ -190,5 +197,5 @@ def layer_from_spec(spec: dict, rng: np.random.Generator) -> Layer:
 
 def batched_forward(net: Network, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Inference over x in slices, concatenating the outputs."""
-    outs = [net.forward(x[i:i + batch_size]) for i in range(0, len(x), batch_size)]
+    outs = [net.predict(x[i:i + batch_size]) for i in range(0, len(x), batch_size)]
     return np.concatenate(outs, axis=0)

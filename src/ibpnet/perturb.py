@@ -1,10 +1,12 @@
 """Corrupted test sets and error-vs-noise-level sweeps.
 
 Adversarial corruption shifts each pixel by epsilon in the direction of the
-loss gradient sign, computed against the true labels once per sweep;
-Gaussian corruption adds N(0, sigma^2) noise from a per-level RNG stream,
-so results do not depend on the order in which levels are evaluated. Sweeps
-emit one CSV row per level with the schema `kind,level,error,n,seed`.
+loss gradient sign, computed against the true labels once per sweep; the
+forward pass of that gradient also scores level 0. Gaussian corruption adds
+N(0, sigma^2) noise from a per-level RNG stream, so results do not depend
+on the order in which levels are evaluated. Every other level is scored by
+error_rate (``Network.predict``). Sweeps emit one CSV row per level with the
+schema `kind,level,error,n,seed`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .network import Network
 from .tensor import rng_stream, sign
-from .training import error_rate, input_gradient
+from .training import error_rate, input_gradient, output_error
 
 SWEEP_KINDS = ("adversarial", "gaussian")
 CSV_HEADER = "kind,level,error,n,seed"
@@ -52,7 +54,7 @@ def adversarial_testset(net: Network, images: np.ndarray, labels: np.ndarray,
     """
     if epsilon == 0.0:
         return images
-    grad = input_gradient(net, images, labels, batch_size=batch_size)
+    grad, _ = input_gradient(net, images, labels, batch_size=batch_size)
     return _shift(images, sign(grad), epsilon, clip)
 
 
@@ -82,15 +84,14 @@ def sweep(net: Network, images: np.ndarray, labels: np.ndarray, kind: str,
         raise ConfigError("sweep levels must start at 0")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"sweep levels must be strictly increasing: {levels}")
-    errors, direction = [], None
-    for level in levels:
-        if kind == "gaussian":
-            corrupted = gaussian_testset(images, level, seed)
-        elif level == 0.0:
-            corrupted = images
-        else:
-            if direction is None:  # the same at every level, so computed once
-                direction = sign(input_gradient(net, images, labels, batch_size=batch_size))
-            corrupted = _shift(images, direction, level)
-        errors.append(error_rate(net, corrupted, labels, batch_size=batch_size))
+    if kind == "gaussian":
+        errors, corrupted = [], (gaussian_testset(images, level, seed) for level in levels)
+    elif len(levels) == 1:
+        errors, corrupted = [], [images]
+    else:  # one gradient pass gives every level's direction and the clean outputs
+        grad, out = input_gradient(net, images, labels, batch_size=batch_size)
+        errors = [output_error(out, labels)]
+        direction = np.sign(grad, out=grad)
+        corrupted = (_shift(images, direction, level) for level in levels[1:])
+    errors += [error_rate(net, c, labels, batch_size=batch_size) for c in corrupted]
     return NoiseSweep(kind, levels, errors, images.shape[0], seed)

@@ -226,12 +226,13 @@ def _pool_geometry(in_hw, window, stride):
     return ho, wo
 
 
-def maxpool_forward(x, window, stride):
+def maxpool_forward(x, window, stride, positions: bool = True):
     """Max over each window; returns (out, argmax) with argmax as flat (H*W) indices.
 
     Ties are broken by the first maximal element in a row-major scan of the
     window, so the selected index is deterministic. A window holding NaN
     gives NaN (np.maximum propagates it) and its first element as argmax.
+    positions=False skips the index scan and returns argmax None.
 
     Per batch chunk, channels-last: a running maximum over the window taps,
     then a backwards scan over the taps blends each tap's index into the
@@ -248,7 +249,7 @@ def maxpool_forward(x, window, stride):
     offsets = (np.arange(kh)[:, None] * w + np.arange(kw)).ravel()
     starts = np.arange(ho)[:, None] * (sh * w) + np.arange(wo) * sw
     out = np.empty((n, c, ho, wo))
-    argmax = np.empty((n, c, ho, wo), dtype=np.int64)
+    argmax = np.empty((n, c, ho, wo), dtype=np.int64) if positions else None
     step = _pool_chunk(c, (h, w))
     for n0 in range(0, n, step):
         xc = x[n0:n0 + step]
@@ -258,6 +259,9 @@ def maxpool_forward(x, window, stride):
         best = taps[0].copy()
         for t in taps[1:]:
             np.maximum(best, t, out=best)
+        out[n0:n0 + len(xc)] = best.transpose(0, 3, 1, 2)
+        if not positions:
+            continue
         # idx -= hit * (idx - k) sets idx to k where tap k is maximal; the
         # smallest unsigned type holding every tap index keeps it exact
         idx = np.zeros(best.shape, dtype=np.min_scalar_type(len(taps) - 1))
@@ -268,7 +272,6 @@ def maxpool_forward(x, window, stride):
             np.subtract(idx, k, out=delta)
             np.multiply(delta, hit, out=delta)
             np.subtract(idx, delta, out=idx)
-        out[n0:n0 + len(xc)] = best.transpose(0, 3, 1, 2)
         np.add(offsets[idx.transpose(0, 3, 1, 2)], starts, out=argmax[n0:n0 + len(xc)])
     return out, argmax
 

@@ -132,7 +132,11 @@ def _top_index(net: Network, cfg: TrainConfig) -> int:
 
 def _forward_loss(net: Network, x, labels, cfg: TrainConfig, train: bool = True):
     """Forward pass and loss seed, no backward. Returns (L, seed, top_index)."""
-    out = net.forward(x, train=train)
+    return _loss_seed(net, net.forward(x, train=train), labels, cfg)
+
+
+def _loss_seed(net: Network, out, labels, cfg: TrainConfig):
+    """Loss and backward seed at the network output out. Returns (L, seed, top_index)."""
     top = _top_index(net, cfg)
     if cfg.loss == "squared":
         loss, seed = squared_loss(out, labels)
@@ -343,32 +347,37 @@ class EpochStats:
     test_error: float | None = None
 
 
-def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
-                   loss: str = "nll", batch_size: int = 256) -> np.ndarray:
+def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray, loss: str = "nll",
+                   batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Loss gradient with respect to the inputs, evaluated with the network
     in inference mode (dropout off) and without writing any gradient
-    buffers. labels must be one-hot."""
+    buffers. labels must be one-hot. Returns (grad, network output at x)."""
     cfg = TrainConfig(algo="bp", loss=loss)
-    grads = []
+    grads, outs = [], []
     for lo in range(0, x.shape[0], batch_size):
         sl = slice(lo, lo + batch_size)
-        _, seed, top = _forward_loss(net, x[sl], labels[sl], cfg, train=False)
+        outs.append(net.forward(x[sl], train=False))
+        _, seed, top = _loss_seed(net, outs[-1], labels[sl], cfg)
         dy0 = net.vjp_linear(seed, upto=top)
         # undo the batch-mean factor so each row is that sample's own gradient
         grads.append(dy0 * dy0.shape[0])
-    return np.concatenate(grads, axis=0)
+    return np.concatenate(grads, axis=0), np.concatenate(outs, axis=0)
 
 
-def error_rate(net: Network, x: np.ndarray, labels: np.ndarray,
-               batch_size: int = 256) -> float:
-    """Fraction of samples whose argmax prediction misses the label.
+def output_error(out: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows of out whose argmax misses the label.
 
     labels may be integer class ids or one-hot rows.
     """
     labels = np.asarray(labels)
     y = labels.argmax(axis=1) if labels.ndim == 2 else labels
-    out = batched_forward(net, x, batch_size)
     return float((out.argmax(axis=1) != y).mean())
+
+
+def error_rate(net: Network, x: np.ndarray, labels: np.ndarray,
+               batch_size: int = 256) -> float:
+    """output_error of the batched inference forward over x."""
+    return output_error(batched_forward(net, x, batch_size), labels)
 
 
 def fit(net: Network, x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,

@@ -105,7 +105,7 @@ def test_criterion_03_fast_routes_match_their_reference_routes():
     net = acceptance_net(0)
     batch = synth_batch(0, 4, (1, 7, 7), 16)
     x, labels = batch
-    dy0 = input_gradient(net, x, labels, batch_size=x.shape[0])
+    dy0, _ = input_gradient(net, x, labels, batch_size=x.shape[0])
     probes = [
         ("zero", np.zeros_like(x)),
         ("random", probe_tangents(0, x.shape, count=1)[0]),
@@ -169,7 +169,7 @@ def test_criterion_05_fast_at_is_first_order_exact():
 
     epsilon = 0.1
     x, labels = batch
-    dy0 = input_gradient(net, x, labels, batch_size=x.shape[0])
+    dy0, _ = input_gradient(net, x, labels, batch_size=x.shape[0])
     xs = adversarial_shift(x, dy0, epsilon)
     fast = run_step(acceptance_net(0), (x, labels),
                     TrainConfig(algo="fast-at", epsilon=epsilon))

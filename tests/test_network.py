@@ -4,10 +4,10 @@ binary model file format."""
 import numpy as np
 import pytest
 
-from ibpnet.errors import FormatError
+from ibpnet.errors import FormatError, StateError
 from ibpnet.layers import Dropout, FullyConnected, MaxPool2D, ReLU, Softmax
 from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec
-from ibpnet.presets import acceptance_net, zoo_net
+from ibpnet.presets import acceptance_net, build_net, zoo_net
 from ibpnet.tensor import rng_stream
 
 
@@ -85,6 +85,38 @@ class TestPasses:
         x = rng.normal(size=(23, 1, 7, 7))
         np.testing.assert_array_equal(batched_forward(net, x, batch_size=7),
                                       net.forward(x))
+
+
+class TestPredict:
+    """Network.predict is the eval-mode forward without the max-pool
+    positions that only a later pull or push reads."""
+
+    @pytest.mark.parametrize("build,in_shape", [
+        (acceptance_net, (1, 7, 7)),
+        (zoo_net, (1, 9, 9)),  # dropout, meanpool and sigmoid too
+        (lambda seed: build_net("mnist-paper", seed), (1, 28, 28)),
+    ], ids=["acceptance", "zoo", "mnist-paper"])
+    def test_bitwise_forward_in_eval_mode(self, build, in_shape):
+        rng = np.random.default_rng(5)
+        net = build(0)
+        x = rng.normal(size=(7,) + in_shape)  # more than one pool1 chunk of mnist-paper
+        np.testing.assert_array_equal(net.predict(x), net.forward(x, train=False))
+
+    @pytest.mark.parametrize("infer", [
+        lambda net, x: net.predict(x),
+        lambda net, x: batched_forward(net, x, batch_size=2),
+    ], ids=["predict", "batched_forward"])
+    def test_pool_pull_and_push_after_inference_raise(self, infer):
+        # positions cached by an earlier training forward must not be reused
+        rng = np.random.default_rng(6)
+        net = acceptance_net(0)
+        pool = net.layers[1]
+        net.forward(rng.normal(size=(3, 1, 7, 7)), train=True)
+        infer(net, rng.normal(size=(3, 1, 7, 7)))
+        with pytest.raises(StateError):
+            pool.vjp_linear(np.ones((3, 4, 2, 2)))
+        with pytest.raises(StateError):
+            pool.jvp(np.ones((3, 4, 5, 5)))
 
 
 def record_pulls(net):

@@ -1,6 +1,8 @@
 """Corrupted-testset and sweep tests: zero-level identity, per-level
 determinism, and the CSV row schema."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ibpnet import perturb
 from ibpnet.errors import ConfigError
 from ibpnet.perturb import (
     CSV_HEADER,
+    SWEEP_KINDS,
     adversarial_testset,
     gaussian_testset,
     sweep,
@@ -73,10 +76,37 @@ class TestCorruptedSets:
 
 
 class TestSweep:
-    def test_level_zero_matches_standalone_error_rate(self, net_and_data):
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_level_zero_matches_standalone_error_rate(self, net_and_data, kind):
         net, x, labels = net_and_data
-        sw = sweep(net, x, labels, "gaussian", [0.0, 0.1], seed=2)
+        sw = sweep(net, x, labels, kind, [0.0, 0.1], seed=2)
         assert sw.errors[0] == error_rate(net, x, labels)
+
+    def test_adversarial_clean_level_scored_from_the_gradient_pass(self, net_and_data,
+                                                                    monkeypatch):
+        # one forward per batch for the gradient (which also scores level 0)
+        # and one per batch for the shifted level, not a third for level 0
+        net, x, labels = net_and_data
+        forwards = []
+        for name in ("forward", "predict"):
+            def counted(*args, inner=getattr(net, name), **kw):
+                forwards.append(args[0].shape[0])
+                return inner(*args, **kw)
+            monkeypatch.setattr(net, name, counted)
+        sweep(net, x, labels, "adversarial", [0.0, 0.1], seed=0, batch_size=16)
+        assert len(forwards) == 2 * math.ceil(len(x) / 16)
+        assert sum(forwards) == 2 * len(x)
+
+    def test_clean_only_adversarial_sweep_computes_no_gradient(self, net_and_data,
+                                                               monkeypatch):
+        net, x, labels = net_and_data
+
+        def refuse(*args, **kw):
+            raise AssertionError("input_gradient called for a clean-only sweep")
+
+        monkeypatch.setattr(perturb, "input_gradient", refuse)
+        sw = sweep(net, x, labels, "adversarial", [0.0], seed=0)
+        assert sw.errors == [error_rate(net, x, labels)]
 
     def test_deterministic_and_order_free(self, net_and_data):
         # a level's result must not depend on which other levels ran

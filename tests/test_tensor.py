@@ -356,14 +356,18 @@ class TestAgainstEarlierKernels:
         dx = conv2d_input_grad(dy, w, pad, (1, 1), xs[1:])
         assert_conv_close(dx, ref_conv2d_input_grad(dy, w, pad, (1, 1), xs[1:]))
 
+    @pytest.mark.parametrize("positions", [True, False], ids=["positions", "max-only"])
     @pytest.mark.parametrize("prep", [lambda x: x, tie_heavy], ids=["normal", "ties"])
     @pytest.mark.parametrize("n,xs", pool_cases())
-    def test_maxpool_kernels_bitwise(self, n, xs, prep):
+    def test_maxpool_kernels_bitwise(self, n, xs, prep, positions):
         rng = np.random.default_rng(n)
         x = prep(rng.normal(size=(n,) + xs))
-        out, arg = maxpool_forward(x, *POOL)
+        out, arg = maxpool_forward(x, *POOL, positions=positions)
         ref_out, ref_arg = ref_maxpool_forward(x, *POOL)
         np.testing.assert_array_equal(out, ref_out)
+        if not positions:
+            assert arg is None
+            return
         np.testing.assert_array_equal(arg, ref_arg)
         dy = rng.normal(size=out.shape)
         np.testing.assert_array_equal(
@@ -412,16 +416,20 @@ class TestOverlappingPoolWindows:
                          for ch, plane in enumerate(img)] for b, img in enumerate(arg)])
         np.testing.assert_array_equal(maxpool_gather(v, arg, (12, 12)), ref)
 
-    def test_nan_in_window_gives_nan(self):
+    @pytest.mark.parametrize("positions", [True, False], ids=["positions", "max-only"])
+    def test_nan_in_window_gives_nan(self, positions):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(1, 1, 7, 7))
         x[0, 0, 2, 2] = np.nan  # inside windows (0,0), (0,1), (1,0), (1,1)
-        out, arg = maxpool_forward(x, *POOL)
+        out, arg = maxpool_forward(x, *POOL, positions=positions)
         expect = np.zeros((3, 3), dtype=bool)
         expect[:2, :2] = True
         np.testing.assert_array_equal(np.isnan(out[0, 0]), expect)
         ref_out, ref_arg = ref_maxpool_forward(x, *POOL)
         np.testing.assert_array_equal(out[0, 0][~expect], ref_out[0, 0][~expect])
+        if not positions:
+            assert arg is None
+            return
         np.testing.assert_array_equal(arg[0, 0][~expect], ref_arg[0, 0][~expect])
         np.testing.assert_array_equal(arg[0, 0][expect], [0, 2, 14, 16])  # window starts
 

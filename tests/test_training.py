@@ -7,7 +7,7 @@ import pytest
 from ibpnet.errors import ConfigError
 from ibpnet.gradcheck import rel_error
 from ibpnet.layers import FullyConnected, ReLU, Softmax
-from ibpnet.network import Network
+from ibpnet.network import Network, batched_forward
 from ibpnet.losses import aux_loss_lp
 from ibpnet.presets import acceptance_net, mnist_tiny_net, zoo_net
 from ibpnet.training import (
@@ -333,9 +333,16 @@ class TestInputGradient:
         rng = np.random.default_rng(9)
         net = acceptance_net(10)
         x, labels = make_batch(rng, 10, (1, 7, 7), 16)
-        a = input_gradient(net, x, labels, batch_size=3)
-        b = input_gradient(net, x, labels, batch_size=100)
+        a, _ = input_gradient(net, x, labels, batch_size=3)
+        b, _ = input_gradient(net, x, labels, batch_size=100)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+
+    def test_returns_the_clean_outputs_of_its_forward(self):
+        rng = np.random.default_rng(12)
+        net = acceptance_net(12)
+        x, labels = make_batch(rng, 10, (1, 7, 7), 16)
+        _, out = input_gradient(net, x, labels, batch_size=3)
+        np.testing.assert_array_equal(out, batched_forward(net, x, batch_size=3))
 
     def test_matches_fd_of_single_sample_loss(self):
         rng = np.random.default_rng(10)
@@ -349,7 +356,7 @@ class TestInputGradient:
                 out = layer.forward(out)
             return nll_softmax_loss(out, labels)[0]
 
-        g = input_gradient(net, x, labels)
+        g, _ = input_gradient(net, x, labels)
         h = 1e-5
         flat = x.reshape(-1)
         for i in range(0, flat.size, 7):  # spot-check a stride of coordinates
