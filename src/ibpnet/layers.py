@@ -197,7 +197,11 @@ class ReLU(Layer):
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         self.mask = x > 0.0
-        return np.where(self.mask, x, 0.0)
+        # bitwise np.where(mask, x, 0.0): fmax maps NaN to 0.0, and adding
+        # 0.0 turns a -0.0 that fmax may keep into +0.0
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def vjp_linear(self, dy):
         return dy * _need(self.mask, "relu mask")

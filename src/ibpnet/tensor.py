@@ -5,10 +5,14 @@ Convolution is cross-correlation (no kernel flip). The pooling kernels use
 "ceil mode": window starts advance by the stride and partial windows at the
 bottom/right borders are truncated to the image, with no padding.
 
-Inside, the conv and max-pool kernels work channels-last (NHWC) on batch
-chunks whose size is a fixed byte budget divided by the bytes one image
-needs, so each chunk's temporaries stay in cache and no temporary grows
-with the batch.
+Inside, the conv and max-pool kernels work on batch chunks whose size is a
+fixed byte budget divided by the bytes one image needs, so each chunk's
+temporaries stay in cache and no temporary grows with the batch. Max
+pooling works channels-last (NHWC). Each conv kernel picks its layout from
+the layer's geometry: when an output row (Wo values) is longer than a
+channels-last kernel row (kw*C values), as in first layers with few input
+channels, it works per image in NCHW on a (C*kh*kw, Ho*Wo) patch stack;
+otherwise channels-last on one patch matrix per chunk.
 """
 
 from __future__ import annotations
@@ -115,13 +119,35 @@ def _patches(xp, kernel, stride, out_hw) -> np.ndarray:
     return view.reshape(n * ho * wo, kh * kw * c)
 
 
+def _per_image(channels: int, kernel, out_hw) -> bool:
+    """True when an output row (Wo values) is longer than a channels-last
+    kernel row (kw*C values): the conv kernels then work per image in NCHW."""
+    return out_hw[1] > kernel[1] * channels
+
+
+def _patch_stack(x, kernel, pad, stride, out_hw) -> np.ndarray:
+    """(N, C*kh*kw, Ho*Wo) patch stack of an NCHW chunk, zero-padded by pad:
+    channels and taps outer, output positions inner, so each row copies runs
+    of Wo values."""
+    n, c, h, w = x.shape
+    ph, pw = pad
+    if ph or pw:
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+        xp[:, :, ph:ph + h, pw:pw + w] = x
+        x = xp
+    view = _window_view(x, kernel, stride, out_hw).transpose(0, 1, 4, 5, 2, 3)
+    return view.reshape(n, c * kernel[0] * kernel[1], out_hw[0] * out_hw[1])
+
+
 def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
     """Cross-correlate x (N,C,H,W) or (C,H,W) with filters (F,C,kh,kw).
 
     Out-of-bounds reads of the zero-padded input are zero. Returns
-    (N,F,Ho,Wo), or (F,Ho,Wo) when the input had no batch axis. Each batch
-    chunk is one channels-last patch matrix times the (kh*kw*C, F) filter
-    matrix.
+    (N,F,Ho,Wo), or (F,Ho,Wo) when the input had no batch axis. Per batch
+    chunk, either the (F, C*kh*kw) filter matrix times each image's patch
+    stack, written straight into the NCHW output (when output rows outrun
+    kernel rows), or one channels-last patch matrix times the (kh*kw*C, F)
+    filter matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     filters = np.asarray(filters, dtype=np.float64)
@@ -136,18 +162,29 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
     f, _, kh, kw = filters.shape
     ph, pw = pad
     ho, wo = conv_output_hw(h, w, (kh, kw), pad, stride)
-    wmat = filters.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
+    per_image = _per_image(c, (kh, kw), (ho, wo))
+    if per_image:
+        wmat = filters.reshape(f, c * kh * kw)
+    else:
+        wmat = filters.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
     out = np.empty((n, f, ho, wo))
     step = _conv_chunk(c, (kh, kw), (ho, wo))
     for n0 in range(0, n, step):
         xc = x[n0:n0 + step]
+        b = len(xc)
+        if per_image:
+            y = out[n0:n0 + b].reshape(b, f, ho * wo)
+            np.matmul(wmat, _patch_stack(xc, (kh, kw), pad, stride, (ho, wo)), out=y)
+            if bias is not None:
+                y += bias[:, None]
+            continue
         xp = _channels_last(xc, (h + 2 * ph, w + 2 * pw), pad, 0.0)
         y = _patches(xp, (kh, kw), stride, (ho, wo)) @ wmat
         if bias is not None:
             y += bias
-        out[n0:n0 + len(xc)] = y.reshape(len(xc), ho, wo, f).transpose(0, 3, 1, 2)
+        out[n0:n0 + b] = y.reshape(b, ho, wo, f).transpose(0, 3, 1, 2)
     return out[0] if single else out
 
 
@@ -156,7 +193,9 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
 
     x is the (N,C,H,W) layer input, dy the (N,F,Ho,Wo) cotangent at the
     output. Returns (dw, db) with dw shaped (F,C,kh,kw). Each batch chunk adds
-    its patch matrix, transposed, times its channels-last dy.
+    either its per-image products of dy with the transposed patch stack
+    (when output rows outrun kernel rows), or its channels-last patch
+    matrix, transposed, times its channels-last dy.
     """
     x = np.asarray(x, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
@@ -164,13 +203,21 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
     f, ho, wo = dy.shape[1:]
     kh, kw = kernel
     ph, pw = pad
-    acc = np.zeros((kh * kw * c, f))
     step = _conv_chunk(c, kernel, (ho, wo))
-    for n0 in range(0, n, step):
-        xp = _channels_last(x[n0:n0 + step], (h + 2 * ph, w + 2 * pw), pad, 0.0)
-        dyc = dy[n0:n0 + step].transpose(0, 2, 3, 1).reshape(-1, f)
-        acc += _patches(xp, kernel, stride, (ho, wo)).T @ dyc
-    dw = np.ascontiguousarray(acc.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
+    if _per_image(c, kernel, (ho, wo)):
+        acc = np.zeros((f, c * kh * kw))
+        for n0 in range(0, n, step):
+            stack = _patch_stack(x[n0:n0 + step], kernel, pad, stride, (ho, wo))
+            dyc = dy[n0:n0 + step].reshape(len(stack), f, ho * wo)
+            acc += np.matmul(dyc, stack.transpose(0, 2, 1)).sum(axis=0)
+        dw = acc.reshape(f, c, kh, kw)
+    else:
+        acc = np.zeros((kh * kw * c, f))
+        for n0 in range(0, n, step):
+            xp = _channels_last(x[n0:n0 + step], (h + 2 * ph, w + 2 * pw), pad, 0.0)
+            dyc = dy[n0:n0 + step].transpose(0, 2, 3, 1).reshape(-1, f)
+            acc += _patches(xp, kernel, stride, (ho, wo)).T @ dyc
+        dw = np.ascontiguousarray(acc.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
     db = dy.sum(axis=(0, 2, 3))
     return dw, db
 
@@ -178,11 +225,14 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
 def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
     """Cotangent at the conv2d input: transposed convolution of dy with filters.
 
-    Per batch chunk (as many images as conv2d puts in one), each kernel tap
-    is a channel-mixing matmul of the channels-last dy, added into a strided
-    slice of a channels-last accumulator. A stride-1 slice runs over Wo*C
-    contiguous values, where a patch-matrix scatter would add only C at a
-    time.
+    Per batch chunk (as many images as conv2d puts in one), each kernel tap's
+    contribution is added into a strided slice of a padded accumulator. When
+    output rows outrun kernel rows, the contributions are one product of the
+    transposed (C*kh*kw, F) filter matrix with each image's dy, and the
+    accumulator is NCHW, so a stride-1 slice runs over Wo contiguous values.
+    Otherwise each tap is a channel-mixing matmul of the channels-last dy and
+    the accumulator is channels-last, so a slice runs over Wo*C values, where
+    a patch-matrix scatter would add only C at a time.
     """
     dy = np.asarray(dy, dtype=np.float64)
     filters = np.asarray(filters, dtype=np.float64)
@@ -191,18 +241,31 @@ def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
     ph, pw = pad
     sh, sw = stride
     h, w = in_hw
-    taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))  # kh,kw,F,C
+    rows = [slice(u, u + (ho - 1) * sh + 1, sh) for u in range(kh)]
+    cols = [slice(v, v + (wo - 1) * sw + 1, sw) for v in range(kw)]
+    per_image = _per_image(c, (kh, kw), (ho, wo))
+    if per_image:
+        wmat_t = filters.reshape(f, c * kh * kw).T
+    else:
+        taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))  # kh,kw,F,C
     dx = np.empty((n, c, h, w))
     step = _conv_chunk(c, (kh, kw), (ho, wo))
     for n0 in range(0, n, step):
         dyc = dy[n0:n0 + step]
         b = len(dyc)
+        if per_image:
+            per_tap = np.matmul(wmat_t, dyc.reshape(b, f, ho * wo)).reshape(b, c, kh, kw, ho, wo)
+            dxp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+            for u in range(kh):
+                for v in range(kw):
+                    dxp[:, :, rows[u], cols[v]] += per_tap[:, :, u, v]
+            dx[n0:n0 + b] = dxp[:, :, ph:ph + h, pw:pw + w]
+            continue
         dyt = dyc.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
         dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
         for u in range(kh):
             for v in range(kw):
-                dxp[:, u:u + (ho - 1) * sh + 1:sh,
-                    v:v + (wo - 1) * sw + 1:sw, :] += (dyt @ taps[u, v]).reshape(b, ho, wo, c)
+                dxp[:, rows[u], cols[v], :] += (dyt @ taps[u, v]).reshape(b, ho, wo, c)
         dx[n0:n0 + b] = dxp[:, ph:ph + h, pw:pw + w, :].transpose(0, 3, 1, 2)
     return dx
 

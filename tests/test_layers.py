@@ -166,6 +166,23 @@ class TestActivations:
         np.testing.assert_array_equal(y, [[0.0, 0.0, 2.0]])
         np.testing.assert_array_equal(relu.vjp(np.ones((1, 3))), [[0.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 64])
+    def test_relu_forward_bitwise_masked_select(self, n):
+        """Bit for bit np.where(x > 0, x, 0.0): relu(NaN) = relu(-0.0) = +0.0,
+        ±inf, subnormals, on runs long and short enough for vector loops and
+        their scalar tails."""
+        special = np.array([np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf,
+                            5e-324, -5e-324, 1e-300, -1e-300, 1.5, -1.5])
+        rng = np.random.default_rng(n)
+        for x in (np.resize(special, n), np.full(n, -0.0), rng.permutation(np.resize(special, n)),
+                  rng.normal(size=(n, 3, 4, 4))):
+            relu = ReLU()
+            y = relu.forward(x)
+            ref = np.where(x > 0.0, x, 0.0)
+            assert y.shape == ref.shape and y.dtype == ref.dtype
+            np.testing.assert_array_equal(y.view(np.uint64), ref.view(np.uint64))
+            np.testing.assert_array_equal(relu.mask, x > 0.0)
+
     def test_relu_fd_away_from_kink(self):
         rng = np.random.default_rng(11)
         relu = ReLU()

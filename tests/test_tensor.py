@@ -178,10 +178,13 @@ class TestScalars:
 
 
 class TestConv2D:
+    # output rows of 8 and 9 outrun the 6-value kernel rows (per image, NCHW);
+    # 6 and 5 do not (channels-last)
     @pytest.mark.parametrize("pad,stride,hw", [
         ((0, 0), (1, 1), (8, 9)),
         ((2, 1), (1, 2), (8, 10)),
         ((1, 1), (2, 2), (7, 8)),
+        ((1, 1), (2, 2), (7, 16)),
     ])
     def test_against_loops(self, pad, stride, hw):
         rng = np.random.default_rng(1)
@@ -209,36 +212,40 @@ class TestConv2D:
 
     def test_weight_grad_against_loops(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 2, 7, 7))
-        w = rng.normal(size=(3, 2, 3, 3))
-        dy = rng.normal(size=conv2d(x, w, pad=(1, 1), stride=(2, 2)).shape)
-        dw, db = conv2d_weight_grad(x, dy, (3, 3), (1, 1), (2, 2))
-        ref = np.zeros_like(w)
-        xp = np.zeros((2, 2, 9, 9))
-        xp[:, :, 1:8, 1:8] = x
-        for b in range(2):
-            for g in range(3):
-                for ch in range(2):
-                    for u in range(3):
-                        for v in range(3):
-                            for i in range(dy.shape[2]):
-                                for j in range(dy.shape[3]):
-                                    ref[g, ch, u, v] += (
-                                        xp[b, ch, i * 2 + u, j * 2 + v] * dy[b, g, i, j]
-                                    )
-        np.testing.assert_allclose(dw, ref, rtol=1e-12)
-        np.testing.assert_allclose(db, dy.sum(axis=(0, 2, 3)), rtol=1e-12)
+        # 4 output columns run channels-last, 8 per image in NCHW (kernel rows: 6)
+        for width in (7, 15):
+            x = rng.normal(size=(2, 2, 7, width))
+            w = rng.normal(size=(3, 2, 3, 3))
+            dy = rng.normal(size=conv2d(x, w, pad=(1, 1), stride=(2, 2)).shape)
+            dw, db = conv2d_weight_grad(x, dy, (3, 3), (1, 1), (2, 2))
+            ref = np.zeros_like(w)
+            xp = np.zeros((2, 2, 9, width + 2))
+            xp[:, :, 1:8, 1:width + 1] = x
+            for b in range(2):
+                for g in range(3):
+                    for ch in range(2):
+                        for u in range(3):
+                            for v in range(3):
+                                for i in range(dy.shape[2]):
+                                    for j in range(dy.shape[3]):
+                                        ref[g, ch, u, v] += (
+                                            xp[b, ch, i * 2 + u, j * 2 + v] * dy[b, g, i, j]
+                                        )
+            np.testing.assert_allclose(dw, ref, rtol=1e-12)
+            np.testing.assert_allclose(db, dy.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_input_grad_is_adjoint(self):
         # <dy, conv(x)> == <conv_input_grad(dy), x> for random probes
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 3, 7, 7))
-        w = rng.normal(size=(4, 3, 3, 3))
-        dy = rng.normal(size=conv2d(x, w, pad=(1, 0), stride=(2, 2)).shape)
-        dx = conv2d_input_grad(dy, w, (1, 0), (2, 2), (7, 7))
-        lhs = float((dy * conv2d(x, w, pad=(1, 0), stride=(2, 2))).sum())
-        rhs = float((dx * x).sum())
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        # 3 output columns run channels-last, 11 per image in NCHW (kernel rows: 9)
+        for width in (7, 23):
+            x = rng.normal(size=(2, 3, 7, width))
+            w = rng.normal(size=(4, 3, 3, 3))
+            dy = rng.normal(size=conv2d(x, w, pad=(1, 0), stride=(2, 2)).shape)
+            dx = conv2d_input_grad(dy, w, (1, 0), (2, 2), (7, width))
+            lhs = float((dy * conv2d(x, w, pad=(1, 0), stride=(2, 2))).sum())
+            rhs = float((dx * x).sum())
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 class TestPooling:
@@ -299,10 +306,15 @@ class TestPooling:
         )
 
 
-# mnist-paper shapes: (name, input (C, H, W), filters (F, C, kh, kw), pad)
+# (name, input (C, H, W), filters (F, C, kh, kw), pad): the mnist-paper convs,
+# the cifar-paper conv1 and a padded one-channel conv. Only conv2's output
+# rows are shorter than its channels-last kernel rows, so it alone runs the
+# channels-last kernels; the others run the per-image NCHW ones.
 CONV_SHAPES = [
     ("conv1", (1, 28, 28), (32, 1, 4, 4), (0, 0)),
     ("conv2", (32, 12, 12), (64, 32, 5, 5), (2, 2)),
+    ("cifar-conv1", (3, 32, 32), (32, 3, 5, 5), (0, 0)),
+    ("padded-c1", (1, 16, 16), (8, 1, 5, 5), (2, 2)),
 ]
 # conv1 and conv2 outputs, pooled 3x3 / 2; 12 -> 6 truncates the last windows
 POOL_SHAPES = [("pool1", (32, 25, 25)), ("pool2", (64, 12, 12))]
@@ -339,6 +351,11 @@ def tie_heavy(x):
 
 
 class TestAgainstEarlierKernels:
+    def test_conv_shapes_cover_both_layouts(self):
+        per_image = {name: tensor._per_image(xs[0], ws[2:], conv_output_hw(*xs[1:], ws[2:], pad, (1, 1)))
+                     for name, xs, ws, pad in CONV_SHAPES}
+        assert per_image == {"conv1": True, "conv2": False, "cifar-conv1": True, "padded-c1": True}
+
     @pytest.mark.parametrize("n,xs,ws,pad", conv_cases())
     def test_conv_kernels(self, n, xs, ws, pad):
         rng = np.random.default_rng(n)
@@ -434,21 +451,30 @@ class TestOverlappingPoolWindows:
         np.testing.assert_array_equal(arg[0, 0][expect], [0, 2, 14, 16])  # window starts
 
 
-class TestMemory:
-    """Traced NumPy peak at the conv2 shape, batch 256: the kernel's output
-    plus at most 16 MiB, however large the batch."""
+def memory_cases():
+    kernels = ("conv2d", "conv2d_weight_grad", "conv2d_input_grad")
+    for kernel in kernels + ("maxpool_forward",):
+        yield pytest.param(CONV_SHAPES[1], kernel, id=kernel)
+    for kernel in kernels:
+        yield pytest.param(CONV_SHAPES[0], kernel, id=f"conv1-{kernel}")
 
-    @pytest.mark.parametrize("kernel", [
-        "conv2d", "conv2d_weight_grad", "conv2d_input_grad", "maxpool_forward"])
-    def test_peak_within_output_plus_16mib(self, kernel):
+
+class TestMemory:
+    """Traced NumPy peak at the mnist-paper conv2 and conv1 shapes, batch 256:
+    the kernel's output plus at most 16 MiB, however large the batch."""
+
+    @pytest.mark.parametrize("shape,kernel", memory_cases())
+    def test_peak_within_output_plus_16mib(self, shape, kernel):
+        _, xs, ws, pad = shape
+        kernel_hw = ws[2:]
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(256, 32, 12, 12))
-        w = rng.normal(size=(64, 32, 5, 5))
-        dy = rng.normal(size=(256, 64, 12, 12))
+        x = rng.normal(size=(256,) + xs)
+        w = rng.normal(size=ws)
+        dy = rng.normal(size=(256, ws[0]) + conv_output_hw(*xs[1:], kernel_hw, pad, (1, 1)))
         run = {
-            "conv2d": lambda: conv2d(x, w, (2, 2), (1, 1)),
-            "conv2d_weight_grad": lambda: conv2d_weight_grad(x, dy, (5, 5), (2, 2), (1, 1)),
-            "conv2d_input_grad": lambda: conv2d_input_grad(dy, w, (2, 2), (1, 1), (12, 12)),
+            "conv2d": lambda: conv2d(x, w, pad, (1, 1)),
+            "conv2d_weight_grad": lambda: conv2d_weight_grad(x, dy, kernel_hw, pad, (1, 1)),
+            "conv2d_input_grad": lambda: conv2d_input_grad(dy, w, pad, (1, 1), xs[1:]),
             "maxpool_forward": lambda: maxpool_forward(dy, *POOL),
         }[kernel]
         tracemalloc.start()
