@@ -38,6 +38,8 @@ CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 class Dataset:
     """Images in normalized units (mean already subtracted), one-hot labels."""
 
+    # float64 whatever the net's dtype: a float32 net casts each batch at its
+    # first weight layer, so augmentation and tangents stay in float64
     images: np.ndarray  # (N, C, H, W) float64
     labels: np.ndarray  # (N, K) one-hot float64
     mean_pixel: float

@@ -16,6 +16,11 @@ A subclass defines:
 * ``weight_grad(a, dy) -> (dw, db)``, on parametric layers only: contract a
   layer input with an output cotangent.
 
+Weight layers hold their weights in the dtype they were built with and cast
+every array that enters them to it: inputs, tangents, cotangents and seeds,
+so float64 images and loss seeds meet a float32 net there. Parameter-free
+layers keep their input's dtype, except ``Softmax`` (see there).
+
 From these the base ``Layer`` builds:
 
 * ``jvp(v)``: by default ``vjp_linear``, since the Jacobian is symmetric.
@@ -77,6 +82,7 @@ class Layer:
     def vjp(self, dy: np.ndarray) -> np.ndarray:
         if self.has_params:
             x = _need(self.x, f"{type(self).__name__} input cache")
+            dy = self.cast(dy)
             self.cot_out = dy
             self.dw, self.db = self.weight_grad(x, dy)
         return self.vjp_linear(dy)
@@ -84,6 +90,7 @@ class Layer:
     def lin_vjp(self, delta: np.ndarray, pull: bool = True) -> np.ndarray | None:
         if self.has_params:
             t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
+            delta = self.cast(delta)
             self.aux_dw += self.weight_grad(t, delta)[0]
         return self.vjp_linear(delta) if pull else None
 
@@ -95,24 +102,35 @@ class Layer:
     def spec(self) -> dict:
         raise NotImplementedError
 
+    def cast(self, a) -> np.ndarray:
+        """a in the weights' dtype (weight layers only); no copy if it already is."""
+        return np.asarray(a, dtype=self.w.dtype)
+
+    def dtype_spec(self) -> dict:
+        """The weights' dtype as a spec entry, present only when not float64."""
+        return {} if self.w.dtype == np.float64 else {"dtype": self.w.dtype.name}
+
 
 class FullyConnected(Layer):
     """Affine map y = flatten(x) @ w + b with He-initialized weights."""
 
     has_params = True
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
+                 dtype=np.float64):
         if in_features <= 0 or out_features <= 0:
             raise ConfigError(f"fc extents must be positive, got {in_features}x{out_features}")
         self.in_features = in_features
         self.out_features = out_features
-        self.w = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(in_features, out_features))
-        self.b = np.zeros(out_features)
+        # drawn in float64, then cast: every dtype gets the same draws
+        self.w = rng.normal(0.0, np.sqrt(2.0 / in_features),
+                            size=(in_features, out_features)).astype(dtype, copy=False)
+        self.b = np.zeros(out_features, dtype=dtype)
         self.aux_dw = np.zeros_like(self.w)
         self.x_shape = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = self.cast(x)
         self.x_shape = x.shape
         xf = x.reshape(x.shape[0], -1)
         if xf.shape[1] != self.in_features:
@@ -122,18 +140,19 @@ class FullyConnected(Layer):
 
     def jvp(self, v):
         _need(self.x, "fc input cache")
-        self.tan_in = np.asarray(v, dtype=np.float64).reshape(v.shape[0], -1)
+        self.tan_in = self.cast(v).reshape(v.shape[0], -1)
         return self.tan_in @ self.w
 
     def vjp_linear(self, dy):
         x_shape = _need(self.x_shape, "fc input shape")
-        return (dy @ self.w.T).reshape(x_shape)
+        return (self.cast(dy) @ self.w.T).reshape(x_shape)
 
     def weight_grad(self, a, dy):
         return a.T @ dy, dy.sum(axis=0)
 
     def spec(self):
-        return {"kind": "fc", "in_features": self.in_features, "out_features": self.out_features}
+        return {"kind": "fc", "in_features": self.in_features,
+                "out_features": self.out_features, **self.dtype_spec()}
 
 
 class Conv2D(Layer):
@@ -142,7 +161,7 @@ class Conv2D(Layer):
     has_params = True
 
     def __init__(self, in_channels: int, filters: int, kernel, pad, stride,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, dtype=np.float64):
         kh, kw = kernel
         if min(in_channels, filters, kh, kw) <= 0:
             raise ConfigError("conv extents must be positive")
@@ -152,13 +171,14 @@ class Conv2D(Layer):
         self.pad = tuple(pad)
         self.stride = tuple(stride)
         fan_in = in_channels * kh * kw
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(filters, in_channels, kh, kw))
-        self.b = np.zeros(filters)
+        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                            size=(filters, in_channels, kh, kw)).astype(dtype, copy=False)
+        self.b = np.zeros(filters, dtype=dtype)
         self.aux_dw = np.zeros_like(self.w)
         self.in_hw = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = self.cast(x)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"conv expects (N,{self.in_channels},H,W), got {x.shape}")
         self.x = x
@@ -167,12 +187,12 @@ class Conv2D(Layer):
 
     def jvp(self, v):
         _need(self.x, "conv input cache")
-        self.tan_in = np.asarray(v, dtype=np.float64)
+        self.tan_in = self.cast(v)
         return conv2d(self.tan_in, self.w, self.pad, self.stride)
 
     def vjp_linear(self, dy):
         in_hw = _need(self.in_hw, "conv input geometry")
-        return conv2d_input_grad(dy, self.w, self.pad, self.stride, in_hw)
+        return conv2d_input_grad(self.cast(dy), self.w, self.pad, self.stride, in_hw)
 
     def weight_grad(self, a, dy):
         return conv2d_weight_grad(a, dy, self.kernel, self.pad, self.stride)
@@ -185,6 +205,7 @@ class Conv2D(Layer):
             "kernel": list(self.kernel),
             "pad": list(self.pad),
             "stride": list(self.stride),
+            **self.dtype_spec(),
         }
 
 
@@ -195,7 +216,6 @@ class ReLU(Layer):
         self.mask = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
         self.mask = x > 0.0
         # bitwise np.where(mask, x, 0.0): fmax maps NaN to 0.0, and adding
         # 0.0 turns a -0.0 that fmax may keep into +0.0
@@ -217,7 +237,6 @@ class Sigmoid(Layer):
         self.y = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
         e = np.exp(-np.abs(x))
         self.y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return self.y
@@ -238,6 +257,9 @@ class Softmax(Layer):
         self.y = None
 
     def forward(self, x, train=False):
+        # float64 whatever the input: in float32, exp underflows to 0 once a
+        # logit trails the largest by about 103, and the nll loss then meets
+        # a zero probability at a labeled class
         x = np.asarray(x, dtype=np.float64)
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -266,13 +288,11 @@ class MaxPool2D(Layer):
         self.in_hw = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
         self.in_hw = x.shape[2:]
         out, self.argmax = maxpool_forward(x, self.window, self.stride)
         return out
 
     def predict(self, x):
-        x = np.asarray(x, dtype=np.float64)
         self.in_hw = x.shape[2:]
         out, self.argmax = maxpool_forward(x, self.window, self.stride, positions=False)
         return out
@@ -300,12 +320,11 @@ class MeanPool2D(Layer):
         self.in_hw = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
         self.in_hw = x.shape[2:]
         return meanpool_forward(x, self.window, self.stride)
 
     def jvp(self, v):
-        return meanpool_forward(np.asarray(v, dtype=np.float64), self.window, self.stride)
+        return meanpool_forward(v, self.window, self.stride)
 
     def vjp_linear(self, dy):
         return meanpool_backward(dy, self.window, self.stride, _need(self.in_hw, "meanpool geometry"))
@@ -330,12 +349,11 @@ class Dropout(Layer):
         self.mask = None
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
         if not train or self.rate == 0.0:
             self.mask = np.ones_like(x)
             return x
         keep = 1.0 - self.rate
-        self.mask = (self.rng.random(x.shape) < keep) / keep
+        self.mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
         return x * self.mask
 
     def vjp_linear(self, dy):

@@ -6,9 +6,12 @@ Model file layout (all integers little-endian):
 * 7-byte magic ``IBPNET1``
 * uint32 layer count
 * per layer: uint32 record length, then that many bytes of JSON (sorted
-  keys) describing kind and geometry
+  keys) describing kind and geometry; a weight layer's record carries
+  ``"dtype"`` (``"float32"``) only when its weights are not float64, so a
+  record without it loads as float64
 * then, for each parametric layer in declaration order, its weight tensor
-  followed by its bias vector as raw little-endian float64 in C order.
+  followed by its bias vector as raw little-endian values of that dtype, in
+  C order.
 
 The JSON records carry no tensor data, so the file is self-describing and
 byte-for-byte reproducible for a given network.
@@ -133,8 +136,8 @@ class Network:
                 fh.write(struct.pack("<I", len(rec)))
                 fh.write(rec)
             for layer in self.param_layers:
-                fh.write(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
+                for tensor in (layer.w, layer.b):
+                    fh.write(np.ascontiguousarray(tensor, tensor.dtype.newbyteorder("<")).tobytes())
 
     @classmethod
     def load(cls, path) -> "Network":
@@ -161,11 +164,11 @@ class Network:
         net = cls([layer_from_spec(s, rng_stream(0, "load-init")) for s in specs])
         for layer in net.param_layers:
             for tensor in (layer.w, layer.b):
-                nbytes = tensor.size * 8
+                nbytes = tensor.nbytes
                 if off + nbytes > len(blob):
                     raise FormatError(f"{path}: truncated weight blob")
-                tensor[...] = np.frombuffer(blob, dtype="<f8", count=tensor.size,
-                                            offset=off).reshape(tensor.shape)
+                tensor[...] = np.frombuffer(blob, dtype=tensor.dtype.newbyteorder("<"),
+                                            count=tensor.size, offset=off).reshape(tensor.shape)
                 off += nbytes
         if off != len(blob):
             raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
@@ -175,11 +178,15 @@ class Network:
 def layer_from_spec(spec: dict, rng: np.random.Generator) -> Layer:
     """Build one layer from its spec record; weights are freshly initialized."""
     kind = spec.get("kind")
+    if kind in ("fc", "conv"):
+        dtype = spec.get("dtype", "float64")
+        if dtype not in ("float32", "float64"):
+            raise FormatError(f"unknown weight dtype {dtype!r}")
     if kind == "fc":
-        return FullyConnected(spec["in_features"], spec["out_features"], rng)
+        return FullyConnected(spec["in_features"], spec["out_features"], rng, dtype)
     if kind == "conv":
         return Conv2D(spec["in_channels"], spec["filters"], spec["kernel"],
-                      spec["pad"], spec["stride"], rng)
+                      spec["pad"], spec["stride"], rng, dtype)
     if kind == "relu":
         return ReLU()
     if kind == "sigmoid":

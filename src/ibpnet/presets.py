@@ -4,9 +4,15 @@ Convolutional stacks follow conv -> maxpool(3x3, stride 2) -> relu; relu and
 max pooling commute, so the order only fixes which activations the caches
 hold. All weight layers draw their init from per-position RNG streams of the
 run seed, so architectures are reproducible irrespective of build order.
+
+The named nets (``mnist-paper``, ``cifar-paper``, ``mnist-tiny``) train in
+float32; ``acceptance_net`` and ``zoo_net`` stay float64, since the gradient
+checks take finite differences of them.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ConfigError
 from .layers import (
@@ -23,6 +29,7 @@ from .network import Network
 from .tensor import rng_stream
 
 POOL = dict(window=(3, 3), stride=(2, 2))
+F32 = np.float32
 
 
 def _init(seed: int, idx: int):
@@ -32,15 +39,15 @@ def _init(seed: int, idx: int):
 def mnist_paper_net(seed: int) -> Network:
     """Two conv blocks (32@4x4 pad 0, 64@5x5 pad 2) + FC 256 for 1x28x28."""
     return Network([
-        Conv2D(1, 32, (4, 4), (0, 0), (1, 1), _init(seed, 0)),   # 25x25
-        MaxPool2D(**POOL),                                        # 12x12
+        Conv2D(1, 32, (4, 4), (0, 0), (1, 1), _init(seed, 0), F32),   # 25x25
+        MaxPool2D(**POOL),                                            # 12x12
         ReLU(),
-        Conv2D(32, 64, (5, 5), (2, 2), (1, 1), _init(seed, 1)),  # 12x12
-        MaxPool2D(**POOL),                                        # 6x6
+        Conv2D(32, 64, (5, 5), (2, 2), (1, 1), _init(seed, 1), F32),  # 12x12
+        MaxPool2D(**POOL),                                            # 6x6
         ReLU(),
-        FullyConnected(64 * 6 * 6, 256, _init(seed, 2)),
+        FullyConnected(64 * 6 * 6, 256, _init(seed, 2), F32),
         ReLU(),
-        FullyConnected(256, 10, _init(seed, 3)),
+        FullyConnected(256, 10, _init(seed, 3), F32),
         Softmax(),
     ])
 
@@ -49,18 +56,18 @@ def cifar_paper_net(seed: int) -> Network:
     """Three conv blocks (5x5, paddings 0/2/2, 32/32/64 filters) + FC 256
     for 3x32x32 inputs."""
     return Network([
-        Conv2D(3, 32, (5, 5), (0, 0), (1, 1), _init(seed, 0)),   # 28x28
-        MaxPool2D(**POOL),                                        # 14x14
+        Conv2D(3, 32, (5, 5), (0, 0), (1, 1), _init(seed, 0), F32),   # 28x28
+        MaxPool2D(**POOL),                                            # 14x14
         ReLU(),
-        Conv2D(32, 32, (5, 5), (2, 2), (1, 1), _init(seed, 1)),  # 14x14
-        MaxPool2D(**POOL),                                        # 7x7
+        Conv2D(32, 32, (5, 5), (2, 2), (1, 1), _init(seed, 1), F32),  # 14x14
+        MaxPool2D(**POOL),                                            # 7x7
         ReLU(),
-        Conv2D(32, 64, (5, 5), (2, 2), (1, 1), _init(seed, 2)),  # 7x7
-        MaxPool2D(**POOL),                                        # 3x3
+        Conv2D(32, 64, (5, 5), (2, 2), (1, 1), _init(seed, 2), F32),  # 7x7
+        MaxPool2D(**POOL),                                            # 3x3
         ReLU(),
-        FullyConnected(64 * 3 * 3, 256, _init(seed, 3)),
+        FullyConnected(64 * 3 * 3, 256, _init(seed, 3), F32),
         ReLU(),
-        FullyConnected(256, 10, _init(seed, 4)),
+        FullyConnected(256, 10, _init(seed, 4), F32),
         Softmax(),
     ])
 
@@ -68,9 +75,9 @@ def cifar_paper_net(seed: int) -> Network:
 def mnist_tiny_net(seed: int) -> Network:
     """One hidden FC layer of 256 units for 1x28x28; fast desk-scale runs."""
     return Network([
-        FullyConnected(28 * 28, 256, _init(seed, 0)),
+        FullyConnected(28 * 28, 256, _init(seed, 0), F32),
         ReLU(),
-        FullyConnected(256, 10, _init(seed, 1)),
+        FullyConnected(256, 10, _init(seed, 1), F32),
         Softmax(),
     ])
 

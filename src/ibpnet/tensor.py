@@ -1,18 +1,19 @@
-"""Dense float64 tensor kernels: 2D convolution and pooling, reductions, RNG.
+"""Dense tensor kernels: 2D convolution and pooling, reductions, RNG.
 
-Callers see C-order float64 arrays in NCHW layout, batch first.
+Callers see C-order float arrays in NCHW layout, batch first. Every kernel
+computes in, and returns, the dtype of its input (float32 or float64).
 Convolution is cross-correlation (no kernel flip). The pooling kernels use
 "ceil mode": window starts advance by the stride and partial windows at the
 bottom/right borders are truncated to the image, with no padding.
 
 Inside, the conv and max-pool kernels work on batch chunks whose size is a
-fixed byte budget divided by the bytes one image needs, so each chunk's
-temporaries stay in cache and no temporary grows with the batch. Max
-pooling works channels-last (NHWC). Each conv kernel picks its layout from
-the layer's geometry: when an output row (Wo values) is longer than a
-channels-last kernel row (kw*C values), as in first layers with few input
-channels, it works per image in NCHW on a (C*kh*kw, Ho*Wo) patch stack;
-otherwise channels-last on one patch matrix per chunk.
+fixed byte budget divided by the bytes one image needs at the input's item
+size, so each chunk's temporaries stay in cache and no temporary grows with
+the batch. Max pooling works channels-last (NHWC). Each conv kernel picks
+its layout from the layer's geometry: when an output row (Wo values) is
+longer than a channels-last kernel row (kw*C values), as in first layers
+with few input channels, it works per image in NCHW on a (C*kh*kw, Ho*Wo)
+patch stack; otherwise channels-last on one patch matrix per chunk.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ _POOL_CHUNK_BYTES = 1 << 20  # input per max-pool chunk
 
 def sign(t: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) == 0 (minimal-norm subgradient of |.|)."""
-    return np.sign(np.asarray(t, dtype=np.float64))
+    return np.sign(t)
 
 
 def lp_norm(t: np.ndarray, r: int) -> float:
     """(1/r) * sum(|t_i|^r) for r in {1, 2}."""
     if r not in (1, 2):
         raise ConfigError(f"lp_norm order must be 1 or 2, got {r}")
-    t = np.asarray(t, dtype=np.float64)
     if r == 1:
         return float(np.abs(t).sum())
     return float(0.5 * np.square(t).sum())
@@ -85,15 +85,15 @@ def _window_view(x: np.ndarray, kernel, stride, out_hw):
     )
 
 
-def _conv_chunk(channels: int, kernel, out_hw) -> int:
+def _conv_chunk(channels: int, kernel, out_hw, itemsize: int) -> int:
     """Images per conv chunk: as many patch matrices as fit _CONV_CHUNK_BYTES, at least one."""
-    patch_bytes = out_hw[0] * out_hw[1] * kernel[0] * kernel[1] * channels * 8
+    patch_bytes = out_hw[0] * out_hw[1] * kernel[0] * kernel[1] * channels * itemsize
     return max(1, _CONV_CHUNK_BYTES // patch_bytes)
 
 
-def _pool_chunk(channels: int, in_hw) -> int:
+def _pool_chunk(channels: int, in_hw, itemsize: int) -> int:
     """Images per pool chunk: as many inputs as fit _POOL_CHUNK_BYTES, at least one."""
-    return max(1, _POOL_CHUNK_BYTES // (channels * in_hw[0] * in_hw[1] * 8))
+    return max(1, _POOL_CHUNK_BYTES // (channels * in_hw[0] * in_hw[1] * itemsize))
 
 
 def _channels_last(x, padded_hw, origin, fill) -> np.ndarray:
@@ -101,7 +101,7 @@ def _channels_last(x, padded_hw, origin, fill) -> np.ndarray:
     the border filled with fill."""
     n, c, h, w = x.shape
     r, s = origin
-    out = np.full((n, *padded_hw, c), fill)
+    out = np.full((n, *padded_hw, c), fill, dtype=x.dtype)
     out[:, r:r + h, s:s + w, :] = x.transpose(0, 2, 3, 1)
     return out
 
@@ -132,7 +132,7 @@ def _patch_stack(x, kernel, pad, stride, out_hw) -> np.ndarray:
     n, c, h, w = x.shape
     ph, pw = pad
     if ph or pw:
-        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x
         x = xp
     view = _window_view(x, kernel, stride, out_hw).transpose(0, 1, 4, 5, 2, 3)
@@ -149,8 +149,6 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
     kernel rows), or one channels-last patch matrix times the (kh*kw*C, F)
     filter matrix.
     """
-    x = np.asarray(x, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
     single = x.ndim == 3
     if single:
         x = x[None]
@@ -167,10 +165,8 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
         wmat = filters.reshape(f, c * kh * kw)
     else:
         wmat = filters.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-    out = np.empty((n, f, ho, wo))
-    step = _conv_chunk(c, (kh, kw), (ho, wo))
+    out = np.empty((n, f, ho, wo), dtype=x.dtype)
+    step = _conv_chunk(c, (kh, kw), (ho, wo), x.itemsize)
     for n0 in range(0, n, step):
         xc = x[n0:n0 + step]
         b = len(xc)
@@ -197,22 +193,20 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
     (when output rows outrun kernel rows), or its channels-last patch
     matrix, transposed, times its channels-last dy.
     """
-    x = np.asarray(x, dtype=np.float64)
-    dy = np.asarray(dy, dtype=np.float64)
     n, c, h, w = x.shape
     f, ho, wo = dy.shape[1:]
     kh, kw = kernel
     ph, pw = pad
-    step = _conv_chunk(c, kernel, (ho, wo))
+    step = _conv_chunk(c, kernel, (ho, wo), x.itemsize)
     if _per_image(c, kernel, (ho, wo)):
-        acc = np.zeros((f, c * kh * kw))
+        acc = np.zeros((f, c * kh * kw), dtype=x.dtype)
         for n0 in range(0, n, step):
             stack = _patch_stack(x[n0:n0 + step], kernel, pad, stride, (ho, wo))
             dyc = dy[n0:n0 + step].reshape(len(stack), f, ho * wo)
             acc += np.matmul(dyc, stack.transpose(0, 2, 1)).sum(axis=0)
         dw = acc.reshape(f, c, kh, kw)
     else:
-        acc = np.zeros((kh * kw * c, f))
+        acc = np.zeros((kh * kw * c, f), dtype=x.dtype)
         for n0 in range(0, n, step):
             xp = _channels_last(x[n0:n0 + step], (h + 2 * ph, w + 2 * pw), pad, 0.0)
             dyc = dy[n0:n0 + step].transpose(0, 2, 3, 1).reshape(-1, f)
@@ -234,8 +228,6 @@ def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
     the accumulator is channels-last, so a slice runs over Wo*C values, where
     a patch-matrix scatter would add only C at a time.
     """
-    dy = np.asarray(dy, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
     n, f, ho, wo = dy.shape
     c, kh, kw = filters.shape[1:]
     ph, pw = pad
@@ -248,21 +240,21 @@ def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
         wmat_t = filters.reshape(f, c * kh * kw).T
     else:
         taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))  # kh,kw,F,C
-    dx = np.empty((n, c, h, w))
-    step = _conv_chunk(c, (kh, kw), (ho, wo))
+    dx = np.empty((n, c, h, w), dtype=dy.dtype)
+    step = _conv_chunk(c, (kh, kw), (ho, wo), dy.itemsize)
     for n0 in range(0, n, step):
         dyc = dy[n0:n0 + step]
         b = len(dyc)
         if per_image:
             per_tap = np.matmul(wmat_t, dyc.reshape(b, f, ho * wo)).reshape(b, c, kh, kw, ho, wo)
-            dxp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+            dxp = np.zeros((b, c, h + 2 * ph, w + 2 * pw), dtype=dy.dtype)
             for u in range(kh):
                 for v in range(kw):
                     dxp[:, :, rows[u], cols[v]] += per_tap[:, :, u, v]
             dx[n0:n0 + b] = dxp[:, :, ph:ph + h, pw:pw + w]
             continue
         dyt = dyc.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
-        dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+        dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c), dtype=dy.dtype)
         for u in range(kh):
             for v in range(kw):
                 dxp[:, rows[u], cols[v], :] += (dyt @ taps[u, v]).reshape(b, ho, wo, c)
@@ -301,7 +293,6 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     then a backwards scan over the taps blends each tap's index into the
     argmax wherever that tap equals the maximum, so the first one wins.
     """
-    x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
     kh, kw = window
     sh, sw = stride
@@ -311,9 +302,9 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     # flat index of tap k = (u, v) is window_start + offsets[k]
     offsets = (np.arange(kh)[:, None] * w + np.arange(kw)).ravel()
     starts = np.arange(ho)[:, None] * (sh * w) + np.arange(wo) * sw
-    out = np.empty((n, c, ho, wo))
+    out = np.empty((n, c, ho, wo), dtype=x.dtype)
     argmax = np.empty((n, c, ho, wo), dtype=np.int64) if positions else None
-    step = _pool_chunk(c, (h, w))
+    step = _pool_chunk(c, (h, w), x.itemsize)
     for n0 in range(0, n, step):
         xc = x[n0:n0 + step]
         xp = _channels_last(xc, (hp, wp), (0, 0), -np.inf)
@@ -343,60 +334,58 @@ def maxpool_scatter(dy, argmax, in_hw) -> np.ndarray:
     """VJP of maxpool: route each output cotangent back to its argmax position.
 
     One bincount over (image, channel)-offset positions; cotangents that meet
-    at one input pixel add in row-major output order.
+    at one input pixel add in row-major output order. bincount sums in
+    float64 whatever the weights' dtype, so the result is cast back to dy's.
     """
-    dy = np.asarray(dy, dtype=np.float64)
     n, c = dy.shape[:2]
     h, w = in_hw
     planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
     dx = np.bincount((argmax + planes).ravel(), weights=dy.ravel(), minlength=n * c * h * w)
-    return dx.reshape(n, c, h, w)
+    return dx.astype(dy.dtype, copy=False).reshape(n, c, h, w)
 
 
 def maxpool_gather(v, argmax, in_hw) -> np.ndarray:
     """JVP of maxpool: pick the cached argmax positions regardless of value."""
-    v = np.asarray(v, dtype=np.float64)
     n, c = v.shape[:2]
     flat = v.reshape(n, c, in_hw[0] * in_hw[1])
     picked = np.take_along_axis(flat, argmax.reshape(n, c, -1), axis=2)
     return picked.reshape(argmax.shape)
 
 
-def _pool_counts(in_hw, window, stride, out_hw):
-    """Per-window element counts, accounting for truncated border windows."""
+def _pool_counts(in_hw, window, stride, out_hw, dtype):
+    """Per-window element counts, accounting for truncated border windows,
+    as dtype so that dividing by them keeps the dividend's dtype."""
     h, w = in_hw
     kh, kw = window
     sh, sw = stride
     ho, wo = out_hw
     rows = np.minimum(np.arange(ho) * sh + kh, h) - np.arange(ho) * sh
     cols = np.minimum(np.arange(wo) * sw + kw, w) - np.arange(wo) * sw
-    return rows[:, None] * cols[None, :]
+    return (rows[:, None] * cols[None, :]).astype(dtype)
 
 
 def meanpool_forward(x, window, stride) -> np.ndarray:
     """Mean over each (truncated) window."""
-    x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
     kh, kw = window
     sh, sw = stride
     ho, wo = _pool_geometry((h, w), window, stride)
     hp = (ho - 1) * sh + kh
     wp = (wo - 1) * sw + kw
-    xp = np.zeros((n, c, hp, wp))
+    xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
     xp[:, :, :h, :w] = x
     win = _window_view(xp, window, stride, (ho, wo))
-    return win.sum(axis=(4, 5)) / _pool_counts((h, w), window, stride, (ho, wo))
+    return win.sum(axis=(4, 5)) / _pool_counts((h, w), window, stride, (ho, wo), x.dtype)
 
 
 def meanpool_backward(dy, window, stride, in_hw) -> np.ndarray:
     """VJP of meanpool: spread each cotangent uniformly over its actual window."""
-    dy = np.asarray(dy, dtype=np.float64)
     n, c, ho, wo = dy.shape
     h, w = in_hw
     kh, kw = window
     sh, sw = stride
-    dx = np.zeros((n, c, h, w))
-    scaled = dy / _pool_counts((h, w), window, stride, (ho, wo))
+    dx = np.zeros((n, c, h, w), dtype=dy.dtype)
+    scaled = dy / _pool_counts((h, w), window, stride, (ho, wo), dy.dtype)
     for i in range(kh):
         nv = min(ho, -((h - i) // -sh))  # windows whose row i stays inside
         if nv <= 0:

@@ -158,6 +158,44 @@ def test_criterion_04_degenerate_settings_reproduce_bp_bitwise():
             assert same, f"{cfg.algo} diverges from bp at step {k}"
 
 
+def test_criterion_04_degenerate_settings_reproduce_bp_bitwise_in_float32():
+    """The degenerate settings on the float32 mnist-paper net at batch 3:
+    every algorithm's weight trajectory equals bp's bit for bit, across a
+    learning-rate decay boundary. At lr 0.1 the net diverges on these noise
+    images in its second step, in float64 as in float32, so lr is 0.01."""
+    steps = 6
+    x, labels = synth_batch(12, 3 * steps, (1, 28, 28), 10)
+    zero_tangents = [np.zeros((3,) + x.shape[1:]) for _ in range(5)]
+
+    def trajectory(cfg, tangents=None):
+        net = mnist_paper_net(5)
+        opt = SgdMomentum(net, cfg)
+        snaps = []
+        for k in range(steps):
+            batch = (x[3 * k:3 * k + 3], labels[3 * k:3 * k + 3])
+            res = run_step(net, batch, cfg, tangents)
+            opt.update(net, res.grads, epoch=k // 3)
+            snaps.append([p.copy() for pair in net.params() for p in pair])
+        return snaps
+
+    reference = trajectory(TrainConfig(algo="bp", alpha=0.01))
+    assert all(p.dtype == np.float32 for p in reference[0])
+    variants = [
+        (TrainConfig(algo="loss-ibp", alpha=0.01, beta=0.0, r=1), None),
+        (TrainConfig(algo="loss-ibp", alpha=0.01, beta=0.0, r=2), None),
+        (TrainConfig(algo="pred-ibp", alpha=0.01, beta=0.0, r=2), None),
+        (TrainConfig(algo="at", alpha=0.01, epsilon=0.0), None),
+        (TrainConfig(algo="fast-at", alpha=0.01, epsilon=0.0), None),
+        (TrainConfig(algo="tbp", alpha=0.01, beta=1.0), zero_tangents),
+        (TrainConfig(algo="fast-tbp", alpha=0.01, beta=1.0), zero_tangents),
+    ]
+    for cfg, tangents in variants:
+        got = trajectory(cfg, tangents)
+        for k, (a, b) in enumerate(zip(reference, got)):
+            same = all(np.array_equal(p, q) for p, q in zip(a, b))
+            assert same, f"{cfg.algo} diverges from bp at step {k}"
+
+
 def test_criterion_05_fast_at_is_first_order_exact():
     """The shifted-input loss matches its first-order expansion with a
     residual-over-epsilon that strictly shrinks across three decades, and a

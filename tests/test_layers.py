@@ -15,6 +15,7 @@ from ibpnet.layers import (
     Sigmoid,
     Softmax,
 )
+from ibpnet.presets import zoo_net
 
 
 def probe_grad(make_out, arr, p, h=1e-6):
@@ -379,3 +380,62 @@ class TestLinVjpPull:
         if layer.has_params:
             # the contraction still runs, bitwise as with the pull
             np.testing.assert_array_equal(layer.aux_dw, once)
+
+
+def zoo_in(dtype):
+    """zoo_net(6) with its weights cast to dtype (its dropout stream unchanged)."""
+    net = zoo_net(6)
+    for layer in net.param_layers:
+        layer.w, layer.b = layer.w.astype(dtype), layer.b.astype(dtype)
+        layer.aux_dw = np.zeros_like(layer.w)
+    return net
+
+
+def every_pass(net):
+    """{(layer index, kind, pass): array} for every pass of every layer, run
+    layer by layer on float64 inputs, tangents and seeds, as images, dataset
+    tangents and loss seeds arrive; then each weight layer's gradients."""
+    rng = np.random.default_rng(7)
+    layers = list(enumerate(net.layers))
+    outs = {}
+
+    def walk(what, a, order, run):
+        for i, layer in order:
+            a = run(layer, a)
+            outs[i, layer.spec()["kind"], what] = a
+        return a
+
+    x = rng.normal(size=(4, 1, 9, 9))
+    walk("predict", x, layers, lambda l, a: l.predict(a))
+    y = walk("forward", x, layers, lambda l, a: l.forward(a, train=True))
+    walk("jvp", rng.normal(size=x.shape), layers, lambda l, a: l.jvp(a))
+    top_down = layers[::-1]
+    walk("vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp(a))
+    walk("vjp_linear", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp_linear(a))
+    net.zero_aux()
+    walk("lin_vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.lin_vjp(a))
+    for i, layer in layers:
+        if layer.has_params:
+            outs[i, "fc/conv", "lin_vjp aux_dw"] = layer.aux_dw.copy()
+            layer.aux_from_cot()
+            outs[i, "fc/conv", "aux_from_cot aux_dw"] = layer.aux_dw
+            outs[i, "fc/conv", "dw"], outs[i, "fc/conv", "db"] = layer.dw, layer.db
+    return outs
+
+
+class TestDtypes:
+    """Every layer pass keeps the net's dtype; Softmax alone computes in
+    float64 whatever it is given, so its float32 logits cannot underflow."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_pass_returns_the_weights_dtype(self, dtype):
+        for (i, kind, what), out in every_pass(zoo_in(dtype)).items():
+            want = np.float64 if kind == "softmax" else dtype
+            assert out.dtype == want, f"layer {i} ({kind}) {what}: {out.dtype}"
+
+    def test_float32_passes_agree_with_float64(self):
+        ref = every_pass(zoo_in(np.float64))
+        for key, out in every_pass(zoo_in(np.float32)).items():
+            scale = np.abs(ref[key]).max()
+            np.testing.assert_allclose(out, ref[key], rtol=1e-4, atol=1e-5 * scale,
+                                       err_msg=str(key))

@@ -1,13 +1,15 @@
 """Network container tests: pass orchestration, aux buffer lifetime, and the
 binary model file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from ibpnet.errors import FormatError, StateError
 from ibpnet.layers import Dropout, FullyConnected, MaxPool2D, ReLU, Softmax
 from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec
-from ibpnet.presets import acceptance_net, build_net, zoo_net
+from ibpnet.presets import acceptance_net, build_net, mnist_paper_net, zoo_net
 from ibpnet.tensor import rng_stream
 
 
@@ -199,6 +201,35 @@ class TestModelFile:
         Network.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_float64_file_bytes_unchanged(self, tmp_path):
+        # the bytes acceptance_net(1) saved before weight dtypes were recorded
+        path = tmp_path / "model.ibpnet"
+        acceptance_net(1).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0a6a1cca608d20d2ee9f6e4281222b11e8e9bbdd6bd567258f7b0be1ed3e71a5")
+
+    def test_float32_roundtrip_resaves_byte_identical(self, tmp_path):
+        net = mnist_paper_net(1)
+        a, b = tmp_path / "a.ibpnet", tmp_path / "b.ibpnet"
+        net.save(a)
+        loaded = Network.load(a)
+        loaded.save(b)
+        assert a.read_bytes() == b.read_bytes()
+        assert [l.spec().get("dtype") for l in loaded.param_layers] == ["float32"] * 4
+        for (w, bias), (lw, lb) in zip(net.params(), loaded.params()):
+            assert lw.dtype == lb.dtype == np.float32
+            np.testing.assert_array_equal(w, lw)
+            np.testing.assert_array_equal(bias, lb)
+        # 4 bytes a parameter: half the float64 file's blob
+        assert a.stat().st_size - 4 * net.n_params() < 1024
+
+    def test_truncated_float32_weights(self, tmp_path):
+        path = tmp_path / "model.ibpnet"
+        mnist_paper_net(2).save(path)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(FormatError, match="truncated weight"):
+            Network.load(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ibpnet"
         path.write_bytes(b"NOTNET1" + bytes(16))
@@ -247,6 +278,12 @@ class TestLayerFromSpec:
         for layer in net.layers:
             rebuilt = layer_from_spec(layer.spec(), rng)
             assert rebuilt.spec() == layer.spec()
+
+    @pytest.mark.parametrize("dtype", ["float16", "<f8", ["float32"]])
+    def test_unknown_dtype(self, dtype):
+        with pytest.raises(FormatError, match="unknown weight dtype"):
+            layer_from_spec({"kind": "fc", "in_features": 2, "out_features": 2,
+                             "dtype": dtype}, np.random.default_rng(0))
 
     def test_unknown_kind(self):
         with pytest.raises(FormatError, match="unknown layer kind"):

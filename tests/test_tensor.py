@@ -319,6 +319,7 @@ CONV_SHAPES = [
 # conv1 and conv2 outputs, pooled 3x3 / 2; 12 -> 6 truncates the last windows
 POOL_SHAPES = [("pool1", (32, 25, 25)), ("pool2", (64, 12, 12))]
 POOL = ((3, 3), (2, 2))
+F64_ITEMSIZE = 8  # the kernel cases below run in float64
 
 
 def batch_sizes(chunk):
@@ -329,13 +330,13 @@ def batch_sizes(chunk):
 def conv_cases():
     for name, xs, ws, pad in CONV_SHAPES:
         out_hw = conv_output_hw(xs[1], xs[2], ws[2:], pad, (1, 1))
-        for n in batch_sizes(tensor._conv_chunk(xs[0], ws[2:], out_hw)):
+        for n in batch_sizes(tensor._conv_chunk(xs[0], ws[2:], out_hw, F64_ITEMSIZE)):
             yield pytest.param(n, xs, ws, pad, id=f"{name}-n{n}")
 
 
 def pool_cases():
     for name, xs in POOL_SHAPES:
-        for n in batch_sizes(tensor._pool_chunk(xs[0], xs[1:])):
+        for n in batch_sizes(tensor._pool_chunk(xs[0], xs[1:], F64_ITEMSIZE)):
             yield pytest.param(n, xs, id=f"{name}-n{n}")
 
 
@@ -453,24 +454,28 @@ class TestOverlappingPoolWindows:
 
 def memory_cases():
     kernels = ("conv2d", "conv2d_weight_grad", "conv2d_input_grad")
-    for kernel in kernels + ("maxpool_forward",):
-        yield pytest.param(CONV_SHAPES[1], kernel, id=kernel)
-    for kernel in kernels:
-        yield pytest.param(CONV_SHAPES[0], kernel, id=f"conv1-{kernel}")
+    for dtype, suffix in ((np.float64, ""), (np.float32, "-float32")):
+        for kernel in kernels + ("maxpool_forward",):
+            yield pytest.param(CONV_SHAPES[1], kernel, dtype, id=kernel + suffix)
+        for kernel in kernels:
+            yield pytest.param(CONV_SHAPES[0], kernel, dtype, id=f"conv1-{kernel}{suffix}")
 
 
 class TestMemory:
     """Traced NumPy peak at the mnist-paper conv2 and conv1 shapes, batch 256:
-    the kernel's output plus at most 16 MiB, however large the batch."""
+    the kernel's output plus at most 16 MiB, however large the batch, in
+    float64 and in float32 (where a float64 temporary would take twice the
+    chunk budget)."""
 
-    @pytest.mark.parametrize("shape,kernel", memory_cases())
-    def test_peak_within_output_plus_16mib(self, shape, kernel):
+    @pytest.mark.parametrize("shape,kernel,dtype", memory_cases())
+    def test_peak_within_output_plus_16mib(self, shape, kernel, dtype):
         _, xs, ws, pad = shape
         kernel_hw = ws[2:]
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(256,) + xs)
-        w = rng.normal(size=ws)
+        x = rng.normal(size=(256,) + xs).astype(dtype)
+        w = rng.normal(size=ws).astype(dtype)
         dy = rng.normal(size=(256, ws[0]) + conv_output_hw(*xs[1:], kernel_hw, pad, (1, 1)))
+        dy = dy.astype(dtype)
         run = {
             "conv2d": lambda: conv2d(x, w, pad, (1, 1)),
             "conv2d_weight_grad": lambda: conv2d_weight_grad(x, dy, kernel_hw, pad, (1, 1)),
@@ -485,3 +490,48 @@ class TestMemory:
             tracemalloc.stop()
         out_bytes = sum(r.nbytes for r in (result if isinstance(result, tuple) else (result,)))
         assert peak <= out_bytes + (16 << 20), f"{peak / 2**20:.1f} MiB traced"
+
+
+# (input (N, C, H, W), filters (F, C, kh, kw), pad): output rows outrun
+# kernel rows in the first (per-image NCHW), not in the second (channels-last)
+DTYPE_CONVS = [((2, 1, 9, 9), (3, 1, 3, 3), (1, 1)), ((2, 3, 4, 4), (4, 3, 3, 3), (1, 1))]
+
+
+class TestDtypes:
+    """Every kernel computes in and returns its input's dtype, for float32
+    and float64: a default-dtype buffer would silently upcast a float32 net."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("xs,ws,pad", DTYPE_CONVS)
+    def test_conv_kernels(self, dtype, xs, ws, pad):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=xs).astype(dtype)
+        w = rng.normal(size=ws).astype(dtype)
+        b = rng.normal(size=ws[0]).astype(dtype)
+        y = conv2d(x, w, pad, (1, 1), b)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dw, db = conv2d_weight_grad(x, dy, ws[2:], pad, (1, 1))
+        dx = conv2d_input_grad(dy, w, pad, (1, 1), xs[2:])
+        for out in (y, conv2d(x[0], w, pad, (1, 1)), dw, db, dx):
+            assert out.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gemm_operands(self, dtype):
+        # a float64 layout copy makes the GEMM upcast its float32 operand,
+        # though the result, written into a float32 output, would not show it
+        x = np.random.default_rng(5).normal(size=(2, 3, 4, 4)).astype(dtype)
+        assert tensor._channels_last(x, (6, 6), (1, 1), 0.0).dtype == dtype
+        assert tensor._patch_stack(x, (3, 3), (1, 1), (1, 1), (4, 4)).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_kernels_and_sign(self, dtype):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 3, 7, 5)).astype(dtype)
+        out, arg = maxpool_forward(x, *POOL)
+        dy = rng.normal(size=out.shape).astype(dtype)
+        mean = meanpool_forward(x, *POOL)
+        outs = [out, maxpool_forward(x, *POOL, positions=False)[0],
+                maxpool_scatter(dy, arg, x.shape[2:]), maxpool_gather(x, arg, x.shape[2:]),
+                mean, meanpool_backward(dy, *POOL, x.shape[2:]), sign(x)]
+        for got in outs:
+            assert got.dtype == dtype
