@@ -63,7 +63,6 @@ from .training import (
     fit,
     input_gradient,
     run_step,
-    sgd_update,
 )
 
 __all__ = [
@@ -120,7 +119,6 @@ __all__ = [
     "rng_stream",
     "run_all_checks",
     "run_step",
-    "sgd_update",
     "squared_loss",
     "subset",
     "sweep",

@@ -24,8 +24,8 @@ layers keep their input's dtype, except ``Softmax`` (see there).
 From these the base ``Layer`` builds:
 
 * ``jvp(v)``: by default ``vjp_linear``, since the Jacobian is symmetric.
-* ``vjp(dy)``: the backward pass; on parametric layers it caches
-  ``cot_out`` and fills ``dw``/``db`` before pulling.
+* ``vjp(dy, pull=True)``: the backward pass; on parametric layers it caches
+  ``cot_out`` and fills ``dw``/``db``, then pulls back unless ``pull`` is False.
 * ``lin_vjp(delta, pull=True)``: accumulate ``aux_dw`` against the tangent
   input cached by ``jvp``, then pull back unless ``pull`` is False.
 * ``aux_from_cot()``: the cheap alternative to ``lin_vjp``. It contracts the
@@ -79,13 +79,14 @@ class Layer:
     def jvp(self, v: np.ndarray) -> np.ndarray:
         return self.vjp_linear(v)
 
-    def vjp(self, dy: np.ndarray) -> np.ndarray:
+    def vjp(self, dy: np.ndarray, pull: bool = True) -> np.ndarray | None:
+        """Backward pass; pull=False skips the pull, for the lowest weight layer."""
         if self.has_params:
             x = _need(self.x, f"{type(self).__name__} input cache")
             dy = self.cast(dy)
             self.cot_out = dy
             self.dw, self.db = self.weight_grad(x, dy)
-        return self.vjp_linear(dy)
+        return self.vjp_linear(dy) if pull else None
 
     def lin_vjp(self, delta: np.ndarray, pull: bool = True) -> np.ndarray | None:
         if self.has_params:

@@ -62,16 +62,17 @@ class Network:
             x = layer.predict(x)
         return x
 
-    def vjp(self, dy: np.ndarray, upto: int | None = None) -> np.ndarray:
+    def vjp(self, dy: np.ndarray, upto: int | None = None,
+            pull: bool = True) -> np.ndarray | None:
         """Backward pass over layers[:upto]; fills dw/db and cot_out on
         parametric layers and returns the cotangent at the network input.
-
-        upto lets a loss seed the pass below the top layer (e.g. below a
-        final softmax when the seed already includes its Jacobian).
-        """
-        for layer in reversed(self.layers[:upto]):
-            dy = layer.vjp(dy)
-        return dy
+        With pull=False no caller reads it: the pass ends at the lowest weight
+        layer, which skips its pull, and returns None. upto lets a loss seed
+        the pass below the top layer (e.g. below a final softmax when the
+        seed already includes its Jacobian)."""
+        for layer, layer_pull in self._top_down(upto, pull):
+            dy = layer.vjp(dy, pull=layer_pull)
+        return dy if pull else None
 
     def vjp_linear(self, dy: np.ndarray, upto: int | None = None) -> np.ndarray:
         """Cotangent pull through the frozen Jacobians of layers[:upto] only;
@@ -97,12 +98,17 @@ class Network:
         auxiliary weight gradients against the tangents cached by jvp. Only
         those are read, so the pull stops at the lowest weight layer, which
         just contracts. Returns None; does nothing without weight layers."""
-        stack = self.layers[:upto]
-        bottom = next((i for i, l in enumerate(stack) if l.has_params), len(stack))
-        for i in range(len(stack) - 1, bottom - 1, -1):
-            if skip_softmax and isinstance(stack[i], Softmax):
+        for layer, layer_pull in self._top_down(upto, pull=False):
+            if skip_softmax and isinstance(layer, Softmax):
                 continue
-            delta = stack[i].lin_vjp(delta, pull=i > bottom)
+            delta = layer.lin_vjp(delta, pull=layer_pull)
+
+    def _top_down(self, upto: int | None, pull: bool):
+        """(layer, pull) over layers[:upto], top first; without pull, only down
+        to the lowest weight layer, which gets pull=False (none without one)."""
+        stack = self.layers[:upto]
+        low = 0 if pull else next((i for i, l in enumerate(stack) if l.has_params), len(stack))
+        return [(stack[i], pull or i > low) for i in range(len(stack) - 1, low - 1, -1)]
 
     def zero_aux(self):
         # fresh buffers, so gradient sets captured earlier keep their values
@@ -118,9 +124,6 @@ class Network:
 
     def params(self):
         return [(l.w, l.b) for l in self.param_layers]
-
-    def aux_grads(self):
-        return [l.aux_dw for l in self.param_layers]
 
     def n_params(self) -> int:
         return sum(l.w.size + l.b.size for l in self.param_layers)

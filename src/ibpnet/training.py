@@ -1,16 +1,16 @@
 """Training step procedures and the SGD-momentum optimizer.
 
-Seven step kinds share the same first two passes (forward, loss, backward).
-The regularized variants add passes over the network *linearized at the
-current batch*:
+Seven step kinds share the same first two passes (forward, loss, backward);
+the backward stops at the lowest weight layer unless the step reads the input
+cotangent dy0. The regularized variants add passes over the network
+*linearized at the current batch*:
 
 * loss-ibp: one tangent push seeded by the gradient of an lp penalty on the
   input cotangent; auxiliary weight gradients come directly from contracting
   the pushed tangents with the cotangents cached by the main backward pass.
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
-  penalty there, and a pull back down to the lowest weight layer
-  accumulating auxiliary gradients.
-  pred-ibp is exactly tbp with the input cotangent as its single tangent.
+  penalty there, and a pull down to the lowest weight layer accumulating
+  auxiliary gradients. pred-ibp is exactly tbp with dy0 as its single tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
   the four-pass route becomes one push plus cached-cotangent contractions.
@@ -109,10 +109,11 @@ class GradientSet:
         )
 
     def average(self, other: "GradientSet") -> "GradientSet":
-        return GradientSet(
-            dw=[(a + b) / 2.0 for a, b in zip(self.dw, other.dw)],
-            db=[(a + b) / 2.0 for a, b in zip(self.db, other.db)],
-        )
+        """In place, bitwise (a + b) / 2.0; self must own its arrays."""
+        for a, b in zip(self.dw + self.db, other.dw + other.db):
+            a += b
+            a /= 2.0
+        return self
 
 
 @dataclass
@@ -149,17 +150,18 @@ def _loss_seed(net: Network, out, labels, cfg: TrainConfig):
     return loss, seed, top
 
 
-def _main_passes(net: Network, x, labels, cfg: TrainConfig, train: bool = True):
-    """Forward, loss, full backward. Returns (L, dy0, top_index)."""
+def _main_passes(net: Network, x, labels, cfg: TrainConfig, train: bool = True,
+                 pull: bool = True):
+    """Forward, loss, backward (see Network.vjp). Returns (L, dy0, top_index)."""
     loss, seed, top = _forward_loss(net, x, labels, cfg, train)
-    dy0 = net.vjp(seed, upto=top)
+    dy0 = net.vjp(seed, upto=top, pull=pull)
     return loss, dy0, top
 
 
 def step_bp(net: Network, batch, cfg: TrainConfig):
     """Plain backpropagation: two passes, main gradients only."""
     x, labels = batch
-    loss, _, _ = _main_passes(net, x, labels, cfg)
+    loss, _, _ = _main_passes(net, x, labels, cfg, pull=False)
     return loss, GradientSet.capture(net)
 
 
@@ -211,7 +213,7 @@ def step_pred_ibp(net: Network, batch, cfg: TrainConfig):
 def step_tbp(net: Network, batch, tangents, cfg: TrainConfig):
     """Tangent propagation, original four-pass form, one push+pull per tangent."""
     x, labels = batch
-    loss, _, _ = _main_passes(net, x, labels, cfg)
+    loss, _, _ = _main_passes(net, x, labels, cfg, pull=False)
     net.zero_aux()
     aux = _tangent_lp_passes(net, tangents, cfg)
     return loss, aux, GradientSet.capture(net, aux=True)
@@ -259,9 +261,8 @@ def step_at(net: Network, batch, cfg: TrainConfig):
     loss1, dy0, _ = _main_passes(net, x, labels, cfg)
     first = GradientSet.capture(net)
     xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
-    loss2, _, _ = _main_passes(net, xs, labels, cfg)
-    second = GradientSet.capture(net)
-    return (loss1 + loss2) / 2.0, first.average(second)
+    loss2, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
+    return (loss1 + loss2) / 2.0, first.average(GradientSet.capture(net))
 
 
 def step_fast_at(net: Network, batch, cfg: TrainConfig):
@@ -272,7 +273,7 @@ def step_fast_at(net: Network, batch, cfg: TrainConfig):
     _, seed, top = _forward_loss(net, x, labels, cfg)
     dy0 = net.vjp_linear(seed, upto=top)
     xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
-    loss, _, _ = _main_passes(net, xs, labels, cfg)
+    loss, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
     return loss, GradientSet.capture(net)
 
 
@@ -329,12 +330,6 @@ class SgdMomentum:
             vb *= m
             vb += db
             b -= lr * vb
-
-
-def sgd_update(net: Network, grads: GradientSet, cfg: TrainConfig, epoch: int,
-               state: SgdMomentum | None = None):
-    """Apply one update; without persistent state this is a zero-velocity step."""
-    (state if state is not None else SgdMomentum(net, cfg)).update(net, grads, epoch)
 
 
 @dataclass

@@ -358,12 +358,15 @@ class TestCacheLifetimes:
             fc.aux_from_cot()
 
 
+PULL_CASES = [
+    (lambda rng: FullyConnected(6, 4, rng), (3, 6), (3, 4)),
+    (lambda rng: Conv2D(2, 3, (3, 3), (1, 1), (1, 1), rng), (2, 2, 5, 5), (2, 3, 5, 5)),
+    (lambda rng: ReLU(), (3, 5), (3, 5)),
+]
+
+
 class TestLinVjpPull:
-    @pytest.mark.parametrize("make, x_shape, dy_shape", [
-        (lambda rng: FullyConnected(6, 4, rng), (3, 6), (3, 4)),
-        (lambda rng: Conv2D(2, 3, (3, 3), (1, 1), (1, 1), rng), (2, 2, 5, 5), (2, 3, 5, 5)),
-        (lambda rng: ReLU(), (3, 5), (3, 5)),
-    ])
+    @pytest.mark.parametrize("make, x_shape, dy_shape", PULL_CASES)
     def test_returns_the_pulled_cotangent_unless_told_not_to(self, make, x_shape,
                                                              dy_shape):
         rng = np.random.default_rng(26)
@@ -380,6 +383,25 @@ class TestLinVjpPull:
         if layer.has_params:
             # the contraction still runs, bitwise as with the pull
             np.testing.assert_array_equal(layer.aux_dw, once)
+
+    @pytest.mark.parametrize("make, x_shape, dy_shape", PULL_CASES)
+    def test_vjp_without_pull_fills_the_same_caches(self, make, x_shape, dy_shape):
+        rng = np.random.default_rng(27)
+        layer = make(rng)
+        layer.forward(rng.normal(size=x_shape))
+        dy = rng.normal(size=dy_shape)
+        np.testing.assert_array_equal(layer.vjp(dy), layer.vjp_linear(dy))
+        full = (layer.dw, layer.db, layer.cot_out)
+        layer.dw = layer.db = layer.cot_out = None
+        pulls, inner = [], layer.vjp_linear
+        layer.vjp_linear = lambda d: pulls.append(d) or inner(d)
+        assert layer.vjp(dy, pull=False) is None
+        assert pulls == []
+        for got, want in zip((layer.dw, layer.db, layer.cot_out), full):
+            if want is None:  # a layer without weights caches nothing
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
 
 
 def zoo_in(dtype):

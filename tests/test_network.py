@@ -19,6 +19,10 @@ def small_net(seed=0):
                     FullyConnected(8, 3, rng), Softmax()])
 
 
+def aux_dws(net):
+    return [l.aux_dw for l in net.param_layers]
+
+
 class TestPasses:
     def test_forward_composes_layers(self):
         rng = np.random.default_rng(0)
@@ -66,13 +70,13 @@ class TestPasses:
         net.vjp(rng.normal(size=(4, 3)))
         net.jvp(rng.normal(size=x.shape), skip_softmax=True)
         net.aux_from_cot()
-        before = net.aux_grads()
+        before = aux_dws(net)
         snapshot = [aw.copy() for aw in before]
         assert any(aw.any() for aw in before)
         net.zero_aux()
         for old, snap in zip(before, snapshot):
             np.testing.assert_array_equal(old, snap)  # old buffer untouched
-        for aw in net.aux_grads():
+        for aw in aux_dws(net):
             assert not aw.any()
 
     def test_param_accessors(self):
@@ -121,16 +125,16 @@ class TestPredict:
             pool.jvp(np.ones((3, 4, 5, 5)))
 
 
-def record_pulls(net):
-    """Wrap every layer's vjp_linear; returns the list of layer indices
-    pulled through, in call order."""
-    pulled = []
+def record_calls(net, method="vjp_linear"):
+    """Wrap every layer's method (by default its pull); returns the list of
+    layer indices it ran on, in call order."""
+    ran = []
     for i, layer in enumerate(net.layers):
-        def pull(dy, i=i, inner=layer.vjp_linear):
-            pulled.append(i)
-            return inner(dy)
-        layer.vjp_linear = pull
-    return pulled
+        def recorded(dy, *args, i=i, inner=getattr(layer, method), **kw):
+            ran.append(i)
+            return inner(dy, *args, **kw)
+        setattr(layer, method, recorded)
+    return ran
 
 
 class TestLinVjpStopsAtLowestWeightLayer:
@@ -151,15 +155,31 @@ class TestLinVjpStopsAtLowestWeightLayer:
             n.forward(x, train=True)
             n.jvp(v, skip_softmax=True)
             n.zero_aux()
-        pulled = record_pulls(net)
+        pulled = record_calls(net)
         assert net.lin_vjp(delta, skip_softmax=True) is None
         assert pulled == [4, 3]  # fc2 and relu; fc1 only contracts
         d = delta
         for layer in reversed(ref.layers[:-1]):  # a full pull to the input
             d = layer.lin_vjp(d)
-        for got, want in zip(net.aux_grads(), ref.aux_grads()):
+        for got, want in zip(aux_dws(net), aux_dws(ref)):
             assert want.any()
             np.testing.assert_array_equal(got, want)
+
+    def test_main_backward_without_pull_stops_there_too(self):
+        rng = np.random.default_rng(8)
+        net, ref = self.pool_dropout_net(), self.pool_dropout_net()
+        x = rng.normal(size=(4, 1, 6, 6))
+        seed = rng.normal(size=(4, 3))
+        for n in (net, ref):
+            n.forward(x, train=True)
+        ref.vjp(seed, upto=-1)
+        ran, pulled = record_calls(net, "vjp"), record_calls(net)
+        assert net.vjp(seed, upto=-1, pull=False) is None
+        assert ran == [4, 3, 2]  # nothing below fc1 runs
+        assert pulled == [4, 3]  # fc1 fills its gradients without pulling
+        for got, want in zip(net.param_layers, ref.param_layers):
+            for cache in ("dw", "db", "cot_out"):
+                np.testing.assert_array_equal(getattr(got, cache), getattr(want, cache))
 
     def test_range_without_weight_layers_does_nothing(self):
         rng = np.random.default_rng(7)
@@ -168,17 +188,22 @@ class TestLinVjpStopsAtLowestWeightLayer:
         net.forward(x, train=True)
         net.jvp(rng.normal(size=x.shape), upto=2)
         net.zero_aux()
-        pulled = record_pulls(net)
+        pulled = record_calls(net)
         assert net.lin_vjp(rng.normal(size=(4, 1, 3, 3)), upto=2) is None
         assert pulled == []
-        assert not any(aw.any() for aw in net.aux_grads())
+        assert not any(aw.any() for aw in aux_dws(net))
+        ran = record_calls(net, "vjp")
+        assert net.vjp(rng.normal(size=(4, 1, 3, 3)), upto=2, pull=False) is None
+        assert ran == pulled == []
 
         bare = Network([ReLU(), Softmax()])
         bare.forward(rng.normal(size=(4, 3)))
-        pulled = record_pulls(bare)
+        pulled = record_calls(bare)
         assert bare.lin_vjp(rng.normal(size=(4, 3))) is None
         assert bare.lin_vjp(rng.normal(size=(4, 3)), skip_softmax=True) is None
-        assert pulled == []
+        ran = record_calls(bare, "vjp")
+        assert bare.vjp(rng.normal(size=(4, 3)), pull=False) is None
+        assert ran == pulled == []
 
 
 class TestModelFile:

@@ -14,12 +14,12 @@ from ibpnet.training import (
     GradientSet,
     SgdMomentum,
     TrainConfig,
+    _main_passes,
     adversarial_shift,
     error_rate,
     fit,
     input_gradient,
     run_step,
-    sgd_update,
     step_at,
     step_bp,
     step_fast_at,
@@ -98,7 +98,7 @@ class TestSgdMomentum:
     def test_beta_combines_aux_direction(self):
         net = one_param_net(1.0)
         cfg = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.1, momentum=0.0, decay=1.0)
-        sgd_update(net, const_grads(0.5, adw=2.0), cfg, epoch=0)
+        SgdMomentum(net, cfg).update(net, const_grads(0.5, adw=2.0), epoch=0)
         np.testing.assert_allclose(net.layers[0].w, [[1.0 - 0.1 * 0.7]], rtol=1e-15)
 
     def test_beta_zero_ignores_aux_bitwise(self):
@@ -106,16 +106,16 @@ class TestSgdMomentum:
         plain = TrainConfig(alpha=0.1, momentum=0.9, decay=1.0)
         with_aux = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.0,
                                momentum=0.9, decay=1.0)
-        sgd_update(a, const_grads(0.3), plain, epoch=0)
-        sgd_update(b, const_grads(0.3, adw=7.0), with_aux, epoch=0)
+        SgdMomentum(a, plain).update(a, const_grads(0.3), epoch=0)
+        SgdMomentum(b, with_aux).update(b, const_grads(0.3, adw=7.0), epoch=0)
         np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
 
     def test_absent_aux_equals_zero_aux_bitwise(self):
         a, b = one_param_net(1.0), one_param_net(1.0)
         cfg = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.1, momentum=0.9, decay=1.0)
         main_only = GradientSet(dw=[np.array([[0.3]])], db=[np.zeros(1)])
-        sgd_update(a, main_only, cfg, epoch=0)
-        sgd_update(b, const_grads(0.3, adw=0.0), cfg, epoch=0)
+        SgdMomentum(a, cfg).update(a, main_only, epoch=0)
+        SgdMomentum(b, cfg).update(b, const_grads(0.3, adw=0.0), epoch=0)
         assert a.layers[0].w[0, 0] != 1.0
         np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
 
@@ -157,6 +157,34 @@ class TestStepClosedForms:
         for a, b in zip(g_at.dw, g_bp.dw):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_at_averages_in_place_into_arrays_no_layer_holds(self, epsilon):
+        rng = np.random.default_rng(23)
+        x, labels = make_batch(rng, 8, (1, 7, 7), 16)
+        cfg = TrainConfig(algo="at", epsilon=epsilon)
+        ref = acceptance_net(7)
+        _, dy0, _ = _main_passes(ref, x, labels, cfg)
+        first = [a.copy() for l in ref.param_layers for a in (l.dw, l.db)]
+        _main_passes(ref, adversarial_shift(x, dy0, epsilon), labels, cfg)
+        second = [a for l in ref.param_layers for a in (l.dw, l.db)]
+
+        net, filled = acceptance_net(7), []
+        vjp = net.vjp
+
+        def recorded_vjp(*args, **kw):
+            out = vjp(*args, **kw)
+            filled.append([a for l in net.param_layers for a in (l.dw, l.db)])
+            return out
+
+        net.vjp = recorded_vjp
+        _, grads = step_at(net, (x, labels), cfg)
+        got = [a for pair in zip(grads.dw, grads.db) for a in pair]
+        held = [a for l in net.param_layers for a in (l.dw, l.db)]
+        for g, a, b, first_arr in zip(got, first, second, filled[0]):
+            np.testing.assert_array_equal(g, (a + b) / 2.0)
+            assert g is first_arr  # averaged into the first pass's arrays
+            assert not any(np.shares_memory(g, h) for h in held)
+
     def test_fast_at_epsilon_zero_equals_bp_bitwise(self):
         rng = np.random.default_rng(5)
         x, labels = make_batch(rng, 8, (1, 7, 7), 16)
@@ -174,8 +202,8 @@ class TestStepClosedForms:
         cfg_b = TrainConfig(algo="bp")
         _, _, g_i = step_loss_ibp(net_a, (x, labels), cfg_i)
         _, g_b = step_bp(net_b, (x, labels), cfg_b)
-        sgd_update(net_a, g_i, cfg_i, 0)
-        sgd_update(net_b, g_b, cfg_b, 0)
+        SgdMomentum(net_a, cfg_i).update(net_a, g_i, epoch=0)
+        SgdMomentum(net_b, cfg_b).update(net_b, g_b, epoch=0)
         for (wa, ba), (wb, bb) in zip(net_a.params(), net_b.params()):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)
@@ -237,13 +265,18 @@ class TestFastTbpFiveTangents:
 
 class TestAuxPullStopsAtLowestWeightLayer:
     """tbp (five distinct non-zero tangents) and pred-ibp against a reference
-    that pulls every tangent's seed all the way down to the input."""
+    that pulls every tangent's seed all the way down to the input; then
+    every algorithm against one whose main backward pulls down to the input."""
 
     NETS = {
         "acceptance": (acceptance_net, (1, 7, 7), 16),
         "zoo": (zoo_net, (1, 9, 9), 5),
         "mnist-tiny": (mnist_tiny_net, (1, 28, 28), 10),
     }
+
+    # the Network pass that runs the lowest weight layer's pull, per algorithm
+    PULLS = {"bp": [], "loss-ibp": ["vjp"], "pred-ibp": ["vjp"], "tbp": [],
+             "fast-tbp": ["vjp"], "at": ["vjp"], "fast-at": ["vjp_linear"]}
 
     @staticmethod
     def full_pull_reference(net, batch, tangents, r):
@@ -290,13 +323,67 @@ class TestAuxPullStopsAtLowestWeightLayer:
 
         lowest.vjp_linear, net.lin_vjp = recorded_pull, aux_phase
         res = run_step(net, (x, labels), cfg, tangents)
-        assert aux_pulls == ["main"]  # the main backward pass only
+        # the main backward pulls dy0 for pred-ibp only; tbp never reads it
+        assert aux_pulls == (["main"] if algo == "pred-ibp" else [])
 
         ref_aux, ref_dw = self.full_pull_reference(make(20), (x, labels), tangents, r)
         assert res.aux_loss == ref_aux
         for got, want in zip(res.grads.aux_dw, ref_dw):
             assert want.any()
             np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def main_full_pull(net):
+        """net with a main backward that always pulls down to the input, as a
+        layer-by-layer loop over the default Layer.vjp."""
+        def vjp(dy, upto=None, pull=True):
+            for layer in reversed(net.layers[:upto]):
+                dy = layer.vjp(dy)
+            return dy
+        net.vjp = vjp
+        return net
+
+    @staticmethod
+    def record_pulls(net):
+        """Names of the Network passes during which the lowest weight layer
+        pulls through its Jacobian, in call order."""
+        lowest, passes, pulls = net.param_layers[0], [], []
+        inner = lowest.vjp_linear
+
+        def pull(dy):
+            pulls.append(passes[-1])
+            return inner(dy)
+
+        lowest.vjp_linear = pull
+        for name in ("vjp", "vjp_linear", "lin_vjp"):
+            def wrapped(*args, name=name, run=getattr(net, name), **kw):
+                passes.append(name)
+                try:
+                    return run(*args, **kw)
+                finally:
+                    passes.pop()
+            setattr(net, name, wrapped)
+        return pulls
+
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_lowest_layer_pulls_only_for_dy0_and_grads_bitwise_equal(self, name):
+        make, in_shape, classes = self.NETS[name]
+        rng = np.random.default_rng(21)
+        x, labels = make_batch(rng, 6, in_shape, classes)
+        tangents = [rng.normal(0.0, 0.5, size=x.shape) for _ in range(3)]
+        for algo, want_pulls in self.PULLS.items():
+            cfg = TrainConfig(algo=algo, beta=0.1, epsilon=0.1)
+            net = make(22)
+            pulls = self.record_pulls(net)
+            res = run_step(net, (x, labels), cfg, tangents)
+            assert pulls == want_pulls, algo
+            ref = run_step(self.main_full_pull(make(22)), (x, labels), cfg, tangents)
+            assert (res.main_loss, res.aux_loss) == (ref.main_loss, ref.aux_loss), algo
+            assert (res.grads.aux_dw is None) == (ref.grads.aux_dw is None), algo
+            got, want = res.grads, ref.grads
+            for g, w in zip(got.dw + got.db + (got.aux_dw or []),
+                            want.dw + want.db + (want.aux_dw or [])):
+                np.testing.assert_array_equal(g, w, err_msg=algo)
 
 
 class TestRunStep:
