@@ -228,12 +228,10 @@ def cmd_eval_noise(args) -> int:
         net, test_ds.images, test_ds.labels, args.noise,
         _parse_floats(args.levels), args.seed,
     )
-    lines = [CSV_HEADER] + list(result.rows())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        result.to_csv(args.out)
     else:
-        print("\n".join(lines))
+        print("\n".join([CSV_HEADER, *result.rows()]))
     return 0
 
 

@@ -83,24 +83,20 @@ class Network:
             dy = layer.vjp_linear(dy)
         return dy
 
-    def jvp(self, v: np.ndarray, upto: int | None = None,
-            skip_softmax: bool = False) -> np.ndarray:
-        """Tangent push through layers[:upto] linearized at the cached batch."""
+    def jvp(self, v: np.ndarray, upto: int | None = None) -> np.ndarray:
+        """Tangent push through layers[:upto] linearized at the cached batch;
+        the training steps pass the index the loss is seeded at (below a
+        final softmax under nll), so the push ends at the logits."""
         for layer in self.layers[:upto]:
-            if skip_softmax and isinstance(layer, Softmax):
-                continue
             v = layer.jvp(v)
         return v
 
-    def lin_vjp(self, delta: np.ndarray, upto: int | None = None,
-                skip_softmax: bool = False) -> None:
-        """Cotangent pull through the linearized network, accumulating
+    def lin_vjp(self, delta: np.ndarray, upto: int | None = None) -> None:
+        """Cotangent pull through the linearized layers[:upto], accumulating
         auxiliary weight gradients against the tangents cached by jvp. Only
         those are read, so the pull stops at the lowest weight layer, which
         just contracts. Returns None; does nothing without weight layers."""
         for layer, layer_pull in self._top_down(upto, pull=False):
-            if skip_softmax and isinstance(layer, Softmax):
-                continue
             delta = layer.lin_vjp(delta, pull=layer_pull)
 
     def _top_down(self, upto: int | None, pull: bool):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .network import Network
-from .tensor import rng_stream, sign
-from .training import error_rate, input_gradient, output_error
+from .tensor import rng_stream
+from .training import adversarial_shift, error_rate, input_gradient, output_error
 
 SWEEP_KINDS = ("adversarial", "gaussian")
 CSV_HEADER = "kind,level,error,n,seed"
@@ -55,13 +55,7 @@ def adversarial_testset(net: Network, images: np.ndarray, labels: np.ndarray,
     if epsilon == 0.0:
         return images
     grad, _ = input_gradient(net, images, labels, batch_size=batch_size)
-    return _shift(images, sign(grad), epsilon, clip)
-
-
-def _shift(images, direction, epsilon: float, clip: bool = False) -> np.ndarray:
-    """images + epsilon * direction, optionally clipped to [0, 1]."""
-    out = images + epsilon * direction
-    return np.clip(out, 0.0, 1.0) if clip else out
+    return adversarial_shift(images, grad, epsilon, clip)
 
 
 def gaussian_testset(images: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -92,6 +86,6 @@ def sweep(net: Network, images: np.ndarray, labels: np.ndarray, kind: str,
         grad, out = input_gradient(net, images, labels, batch_size=batch_size)
         errors = [output_error(out, labels)]
         direction = np.sign(grad, out=grad)
-        corrupted = (_shift(images, direction, level) for level in levels[1:])
+        corrupted = (images + level * direction for level in levels[1:])
     errors += [error_rate(net, c, labels, batch_size=batch_size) for c in corrupted]
     return NoiseSweep(kind, levels, errors, images.shape[0], seed)

@@ -10,7 +10,9 @@ cotangent dy0. The regularized variants add passes over the network
   the pushed tangents with the cotangents cached by the main backward pass.
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
   penalty there, and a pull down to the lowest weight layer accumulating
-  auxiliary gradients. pred-ibp is exactly tbp with dy0 as its single tangent.
+  auxiliary gradients. The prediction layer is the one the loss is seeded at
+  (the logits under nll, below a final softmax), so every pass runs over the
+  same layers. pred-ibp is exactly tbp with dy0 as its single tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
   the four-pass route becomes one push plus cached-cotangent contractions.
@@ -22,7 +24,8 @@ cotangent dy0 carries a 1/batch factor. Penalties seeded by dy0 are already
 batch means at r=1; at r=2 the step rescales by the batch size. Penalties of
 ordinary (order-one) tangents are divided by the batch size instead.
 
-Every algorithm funnels weight updates through the same optimizer code, so
+Every step takes (net, batch, cfg, tangents=None) and returns a StepResult;
+every algorithm funnels weight updates through the same optimizer code, so
 the degenerate settings (beta=0, epsilon=0, zero tangents) reproduce plain
 backpropagation bit for bit.
 """
@@ -65,7 +68,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    skip_softmax: bool | None = None  # None resolves to the per-algo default
     loss: str = "nll"
     clip: bool = False
 
@@ -86,8 +88,6 @@ class TrainConfig:
             raise ConfigError(f"r must be 1 or 2, got {self.r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.skip_softmax is None:
-            self.skip_softmax = self.algo in ("pred-ibp", "tbp")
 
 
 @dataclass
@@ -158,14 +158,14 @@ def _main_passes(net: Network, x, labels, cfg: TrainConfig, train: bool = True,
     return loss, dy0, top
 
 
-def step_bp(net: Network, batch, cfg: TrainConfig):
+def step_bp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Plain backpropagation: two passes, main gradients only."""
     x, labels = batch
     loss, _, _ = _main_passes(net, x, labels, cfg, pull=False)
-    return loss, GradientSet.capture(net)
+    return StepResult(loss, 0.0, GradientSet.capture(net))
 
 
-def step_loss_ibp(net: Network, batch, cfg: TrainConfig):
+def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Loss IBP: penalize the lp norm of the input cotangent dy0.
 
     The third pass pushes the penalty gradient forward through the
@@ -184,39 +184,40 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig):
         raw, seed = n * raw, n * seed
     net.jvp(seed, upto=top)
     net.aux_from_cot()
-    return loss, raw, GradientSet.capture(net, aux=True)
+    return StepResult(loss, raw, GradientSet.capture(net, aux=True))
 
 
-def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig) -> float:
-    """Shared pred-ibp / tbp machinery: per tangent, a linearized push to the
-    prediction layer, an lp penalty there, and a linearized pull that
+def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> float:
+    """Shared pred-ibp / tbp machinery: per tangent, a linearized push through
+    layers[:top] (up to where the loss is seeded, the logits under nll), an
+    lp penalty there, and a linearized pull over the same layers that
     accumulates auxiliary weight gradients. Returns the summed penalty."""
     total = 0.0
     for t in tangents:
         n = t.shape[0]
-        out = net.jvp(t, skip_softmax=cfg.skip_softmax)
+        out = net.jvp(t, upto=top)
         raw, seed = aux_loss_direction(out, cfg.r)
         total += raw / n
-        net.lin_vjp(seed / n, skip_softmax=cfg.skip_softmax)
+        net.lin_vjp(seed / n, upto=top)
     return total
 
 
-def step_pred_ibp(net: Network, batch, cfg: TrainConfig):
+def step_pred_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Prediction IBP: tbp with the input cotangent as the single tangent."""
     x, labels = batch
-    loss, dy0, _ = _main_passes(net, x, labels, cfg)
+    loss, dy0, top = _main_passes(net, x, labels, cfg)
     net.zero_aux()
-    aux = _tangent_lp_passes(net, [dy0], cfg)
-    return loss, aux, GradientSet.capture(net, aux=True)
+    aux = _tangent_lp_passes(net, [dy0], cfg, top)
+    return StepResult(loss, aux, GradientSet.capture(net, aux=True))
 
 
-def step_tbp(net: Network, batch, tangents, cfg: TrainConfig):
+def step_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Tangent propagation, original four-pass form, one push+pull per tangent."""
     x, labels = batch
-    loss, _, _ = _main_passes(net, x, labels, cfg, pull=False)
+    loss, _, top = _main_passes(net, x, labels, cfg, pull=False)
     net.zero_aux()
-    aux = _tangent_lp_passes(net, tangents, cfg)
-    return loss, aux, GradientSet.capture(net, aux=True)
+    aux = _tangent_lp_passes(net, tangents, cfg, top)
+    return StepResult(loss, aux, GradientSet.capture(net, aux=True))
 
 
 def _sum_tangents(tangents) -> np.ndarray:
@@ -227,7 +228,7 @@ def _sum_tangents(tangents) -> np.ndarray:
     return total
 
 
-def step_fast_tbp(net: Network, batch, tangents, cfg: TrainConfig):
+def step_fast_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Tangent propagation via the dot-product auxiliary loss dy0 . tangent.
 
     The loss, the push and the cached-cotangent contractions are all linear
@@ -242,7 +243,7 @@ def step_fast_tbp(net: Network, batch, tangents, cfg: TrainConfig):
     aux, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
     net.jvp(seed, upto=top)
     net.aux_from_cot()
-    return loss, aux, GradientSet.capture(net, aux=True)
+    return StepResult(loss, aux, GradientSet.capture(net, aux=True))
 
 
 def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float,
@@ -254,7 +255,7 @@ def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float,
     return np.clip(xs, 0.0, 1.0) if clip else xs
 
 
-def step_at(net: Network, batch, cfg: TrainConfig):
+def step_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Adversarial training: average the gradient sets at x and at the
     adversarially shifted x*."""
     x, labels = batch
@@ -262,10 +263,10 @@ def step_at(net: Network, batch, cfg: TrainConfig):
     first = GradientSet.capture(net)
     xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
     loss2, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
-    return (loss1 + loss2) / 2.0, first.average(GradientSet.capture(net))
+    return StepResult((loss1 + loss2) / 2.0, 0.0, first.average(GradientSet.capture(net)))
 
 
-def step_fast_at(net: Network, batch, cfg: TrainConfig):
+def step_fast_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Fast adversarial training: the pass at x only supplies dy0, so it
     pulls through the frozen Jacobians without paying for weight-gradient
     contractions; weights are updated from the gradients at x* alone."""
@@ -274,28 +275,24 @@ def step_fast_at(net: Network, batch, cfg: TrainConfig):
     dy0 = net.vjp_linear(seed, upto=top)
     xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
     loss, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
-    return loss, GradientSet.capture(net)
+    return StepResult(loss, 0.0, GradientSet.capture(net))
+
+
+STEPS = {
+    "bp": step_bp, "loss-ibp": step_loss_ibp, "pred-ibp": step_pred_ibp,
+    "tbp": step_tbp, "fast-tbp": step_fast_tbp, "at": step_at, "fast-at": step_fast_at,
+}
+
+
+def _require_tangents(cfg: TrainConfig, tangents) -> None:
+    if tangents is None and cfg.algo in ("tbp", "fast-tbp"):
+        raise ConfigError(f"{cfg.algo} requires tangent vectors")
 
 
 def run_step(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Dispatch one training step; tangents are required for tbp variants."""
-    if cfg.algo == "bp":
-        loss, grads = step_bp(net, batch, cfg)
-        return StepResult(loss, 0.0, grads)
-    if cfg.algo == "loss-ibp":
-        return StepResult(*step_loss_ibp(net, batch, cfg))
-    if cfg.algo == "pred-ibp":
-        return StepResult(*step_pred_ibp(net, batch, cfg))
-    if cfg.algo in ("tbp", "fast-tbp"):
-        if tangents is None:
-            raise ConfigError(f"{cfg.algo} requires tangent vectors")
-        step = step_tbp if cfg.algo == "tbp" else step_fast_tbp
-        return StepResult(*step(net, batch, tangents, cfg))
-    if cfg.algo == "at":
-        loss, grads = step_at(net, batch, cfg)
-        return StepResult(loss, 0.0, grads)
-    loss, grads = step_fast_at(net, batch, cfg)
-    return StepResult(loss, 0.0, grads)
+    _require_tangents(cfg, tangents)
+    return STEPS[cfg.algo](net, batch, cfg, tangents)
 
 
 class SgdMomentum:
@@ -342,12 +339,12 @@ class EpochStats:
     test_error: float | None = None
 
 
-def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray, loss: str = "nll",
+def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
                    batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Loss gradient with respect to the inputs, evaluated with the network
     in inference mode (dropout off) and without writing any gradient
     buffers. labels must be one-hot. Returns (grad, network output at x)."""
-    cfg = TrainConfig(algo="bp", loss=loss)
+    cfg = TrainConfig(algo="bp")
     grads, outs = [], []
     for lo in range(0, x.shape[0], batch_size):
         sl = slice(lo, lo + batch_size)
@@ -390,8 +387,7 @@ def fit(net: Network, x: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     n = x.shape[0]
     if labels.shape[0] != n:
         raise ConfigError(f"labels count {labels.shape[0]} != inputs {n}")
-    if cfg.algo in ("tbp", "fast-tbp") and tangents is None:
-        raise ConfigError(f"{cfg.algo} requires tangent vectors")
+    _require_tangents(cfg, tangents)
     opt = SgdMomentum(net, cfg)
     shuffle = rng_stream(cfg.seed, "shuffle")
     history = []

@@ -4,18 +4,23 @@ finite-difference driver, oracle tensor ops, and the frozen linearization."""
 import numpy as np
 import pytest
 
+from ibpnet import gradcheck, training
 from ibpnet.errors import ConfigError
 from ibpnet.gradcheck import (
     CheckReport,
     FrozenChain,
+    _main_passes,
+    _neuron_cases,
     _oracle_conv,
     _oracle_conv_transpose,
     _oracle_gather,
     _oracle_meanpool,
     _oracle_meanpool_transpose,
     _oracle_scatter,
+    _synthetic_batch,
     all_passed,
     check_fast_at_firstorder,
+    check_main_grad_fd,
     check_noise_injection,
     compare_tensors,
     fd_weight_grad,
@@ -26,6 +31,7 @@ from ibpnet.layers import FullyConnected
 from ibpnet.network import Network
 from ibpnet.presets import acceptance_net
 from ibpnet.tensor import conv2d, conv2d_input_grad, maxpool_forward
+from ibpnet.training import TrainConfig
 
 from batches import make_batch
 
@@ -211,6 +217,48 @@ class TestCheckValidation:
                                     mc=False)
         assert rep.passed
         assert "analytic=1" in rep.worst
+
+
+class TestCheckVerdicts:
+    """Each check passes correct code over many seeds and fails a gradient
+    that is slightly wrong."""
+
+    def test_noise_injection_fd_passes_on_the_suite_neurons(self):
+        # the step scales with p's distance to the log singularity, so
+        # roundoff divided by the squared step stays below the tolerance
+        for seed in range(300):
+            for w, b, x, label in _neuron_cases(seed):
+                rep = check_noise_injection(w, b, x, label, mc=False)
+                assert rep.passed, f"seed {seed}: {rep.line()}"
+
+    def test_fast_at_firstorder_passes_correct_gradients(self):
+        for seed in range(50):
+            net = acceptance_net(seed)
+            rep = check_fast_at_firstorder(net, _synthetic_batch(net, (1, 7, 7), 16, seed))
+            assert rep.passed, f"seed {seed}: {rep.line()}"
+            assert rep.tol == 0.5
+
+    @pytest.mark.parametrize("scale", [0.999, 1.001])
+    def test_fast_at_firstorder_fails_a_scaled_gradient(self, monkeypatch, scale):
+        def scaled_passes(*args, **kw):
+            loss, dy0, top = _main_passes(*args, **kw)
+            return loss, scale * dy0, top
+
+        monkeypatch.setattr(gradcheck, "_main_passes", scaled_passes)
+        for seed in range(5):
+            net = acceptance_net(seed)
+            rep = check_fast_at_firstorder(net, _synthetic_batch(net, (1, 7, 7), 16, seed))
+            assert not rep.passed, f"seed {seed}: {rep.line()}"
+
+    def test_main_fd_judges_the_gradients_run_step_returns(self, monkeypatch):
+        # at's step swapped for fast-at's: the gradients at x* alone are
+        # not those of at's averaged objective
+        net = acceptance_net(0)
+        batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
+        cfg = TrainConfig(algo="at", epsilon=0.05)
+        assert check_main_grad_fd(net, batch, cfg).passed
+        monkeypatch.setitem(training.STEPS, "at", training.step_fast_at)
+        assert not check_main_grad_fd(net, batch, cfg).passed
 
 
 class TestReportHelpers:

@@ -46,18 +46,18 @@ class TestPasses:
             manual = layer.vjp(manual)
         np.testing.assert_array_equal(got, manual)
 
-    def test_jvp_skip_softmax(self):
+    def test_jvp_upto_stops_below_top(self):
         rng = np.random.default_rng(2)
         net = small_net()
         x = rng.normal(size=(4, 6))
         net.forward(x)
         v = rng.normal(size=x.shape)
-        with_skip = net.jvp(v, skip_softmax=True)
+        below = net.jvp(v, upto=-1)
         manual = v
         for layer in net.layers[:-1]:
             manual = layer.jvp(manual)
-        np.testing.assert_array_equal(with_skip, manual)
-        # without the flag the softmax Jacobian is applied on top
+        np.testing.assert_array_equal(below, manual)
+        # over the full stack the softmax Jacobian is applied on top
         full = net.jvp(v)
         np.testing.assert_array_equal(full, net.layers[-1].jvp(manual))
 
@@ -68,7 +68,7 @@ class TestPasses:
         x = rng.normal(size=(4, 6))
         net.forward(x)
         net.vjp(rng.normal(size=(4, 3)))
-        net.jvp(rng.normal(size=x.shape), skip_softmax=True)
+        net.jvp(rng.normal(size=x.shape), upto=-1)
         net.aux_from_cot()
         before = aux_dws(net)
         snapshot = [aw.copy() for aw in before]
@@ -153,10 +153,10 @@ class TestLinVjpStopsAtLowestWeightLayer:
         delta = rng.normal(size=(4, 3))
         for n in (net, ref):
             n.forward(x, train=True)
-            n.jvp(v, skip_softmax=True)
+            n.jvp(v, upto=-1)
             n.zero_aux()
         pulled = record_calls(net)
-        assert net.lin_vjp(delta, skip_softmax=True) is None
+        assert net.lin_vjp(delta, upto=-1) is None
         assert pulled == [4, 3]  # fc2 and relu; fc1 only contracts
         d = delta
         for layer in reversed(ref.layers[:-1]):  # a full pull to the input
@@ -200,7 +200,7 @@ class TestLinVjpStopsAtLowestWeightLayer:
         bare.forward(rng.normal(size=(4, 3)))
         pulled = record_calls(bare)
         assert bare.lin_vjp(rng.normal(size=(4, 3))) is None
-        assert bare.lin_vjp(rng.normal(size=(4, 3)), skip_softmax=True) is None
+        assert bare.lin_vjp(rng.normal(size=(4, 3)), upto=-1) is None
         ran = record_calls(bare, "vjp")
         assert bare.vjp(rng.normal(size=(4, 3)), pull=False) is None
         assert ran == pulled == []

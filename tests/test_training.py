@@ -47,13 +47,6 @@ def make_batch(rng, n, in_shape, classes):
 
 
 class TestTrainConfig:
-    def test_defaults_resolve_skip_softmax_per_algo(self):
-        assert TrainConfig(algo="bp").skip_softmax is False
-        assert TrainConfig(algo="pred-ibp").skip_softmax is True
-        assert TrainConfig(algo="tbp").skip_softmax is True
-        assert TrainConfig(algo="fast-tbp").skip_softmax is False
-        assert TrainConfig(algo="tbp", skip_softmax=False).skip_softmax is False
-
     @pytest.mark.parametrize("kwargs", [
         {"algo": "sgd"},
         {"loss": "hinge"},
@@ -141,10 +134,10 @@ class TestStepClosedForms:
         # out = w x, L = (out - t)^2 / 2 with one sample: dw = x (out - t)
         net = one_param_net(2.0)
         cfg = TrainConfig(algo="bp", loss="squared", momentum=0.0, decay=1.0)
-        loss, grads = step_bp(net, (np.array([[1.0]]), np.array([[0.0]])), cfg)
-        assert loss == 2.0
-        np.testing.assert_array_equal(grads.dw[0], [[2.0]])
-        np.testing.assert_array_equal(grads.db[0], [2.0])
+        res = step_bp(net, (np.array([[1.0]]), np.array([[0.0]])), cfg)
+        assert (res.main_loss, res.aux_loss) == (2.0, 0.0)
+        np.testing.assert_array_equal(res.grads.dw[0], [[2.0]])
+        np.testing.assert_array_equal(res.grads.db[0], [2.0])
 
     def test_at_epsilon_zero_equals_bp_bitwise(self):
         rng = np.random.default_rng(4)
@@ -152,8 +145,8 @@ class TestStepClosedForms:
         cfg_at = TrainConfig(algo="at", epsilon=0.0)
         cfg_bp = TrainConfig(algo="bp")
         net_a, net_b = acceptance_net(7), acceptance_net(7)
-        _, g_at = step_at(net_a, (x, labels), cfg_at)
-        _, g_bp = step_bp(net_b, (x, labels), cfg_bp)
+        g_at = step_at(net_a, (x, labels), cfg_at).grads
+        g_bp = step_bp(net_b, (x, labels), cfg_bp).grads
         for a, b in zip(g_at.dw, g_bp.dw):
             np.testing.assert_array_equal(a, b)
 
@@ -177,7 +170,7 @@ class TestStepClosedForms:
             return out
 
         net.vjp = recorded_vjp
-        _, grads = step_at(net, (x, labels), cfg)
+        grads = step_at(net, (x, labels), cfg).grads
         got = [a for pair in zip(grads.dw, grads.db) for a in pair]
         held = [a for l in net.param_layers for a in (l.dw, l.db)]
         for g, a, b, first_arr in zip(got, first, second, filled[0]):
@@ -189,8 +182,8 @@ class TestStepClosedForms:
         rng = np.random.default_rng(5)
         x, labels = make_batch(rng, 8, (1, 7, 7), 16)
         net_a, net_b = acceptance_net(8), acceptance_net(8)
-        _, g_fast = step_fast_at(net_a, (x, labels), TrainConfig(algo="fast-at", epsilon=0.0))
-        _, g_bp = step_bp(net_b, (x, labels), TrainConfig(algo="bp"))
+        g_fast = step_fast_at(net_a, (x, labels), TrainConfig(algo="fast-at", epsilon=0.0)).grads
+        g_bp = step_bp(net_b, (x, labels), TrainConfig(algo="bp")).grads
         for a, b in zip(g_fast.dw + g_fast.db, g_bp.dw + g_bp.db):
             np.testing.assert_array_equal(a, b)
 
@@ -200,8 +193,8 @@ class TestStepClosedForms:
         net_a, net_b = acceptance_net(9), acceptance_net(9)
         cfg_i = TrainConfig(algo="loss-ibp", beta=0.0, r=2)
         cfg_b = TrainConfig(algo="bp")
-        _, _, g_i = step_loss_ibp(net_a, (x, labels), cfg_i)
-        _, g_b = step_bp(net_b, (x, labels), cfg_b)
+        g_i = step_loss_ibp(net_a, (x, labels), cfg_i).grads
+        g_b = step_bp(net_b, (x, labels), cfg_b).grads
         SgdMomentum(net_a, cfg_i).update(net_a, g_i, epoch=0)
         SgdMomentum(net_b, cfg_b).update(net_b, g_b, epoch=0)
         for (wa, ba), (wb, bb) in zip(net_a.params(), net_b.params()):
@@ -237,7 +230,8 @@ class TestFastTbpFiveTangents:
     def test_matches_per_tangent_pushes(self):
         batch, tangents, cfg = self.case()
         assert all(t.any() for t in tangents)
-        _, aux, grads = step_fast_tbp(acceptance_net(18), batch, tangents, cfg)
+        res = step_fast_tbp(acceptance_net(18), batch, cfg, tangents)
+        aux, grads = res.aux_loss, res.grads
         ref_aux, ref_dw = self.per_tangent_reference(acceptance_net(18), batch,
                                                      tangents)
         for got, want in zip(grads.aux_dw, ref_dw):
@@ -257,7 +251,7 @@ class TestFastTbpFiveTangents:
             return jvp(v, **kw)
 
         net.jvp = counted_jvp
-        step_fast_tbp(net, batch, tangents, cfg)
+        step_fast_tbp(net, batch, cfg, tangents)
         assert len(pushes) == 1
         for t, s in zip(tangents, saved):
             np.testing.assert_array_equal(t, s)
@@ -287,7 +281,7 @@ class TestAuxPullStopsAtLowestWeightLayer:
         net.zero_aux()
         total = 0.0
         for t in (tangents if tangents is not None else [dy0]):
-            raw, seed = aux_loss_lp(net.jvp(t, skip_softmax=True), r)
+            raw, seed = aux_loss_lp(net.jvp(t, upto=-1), r)
             total += raw / n
             delta = seed / n
             for layer in reversed(net.layers[:-1]):  # below the final softmax
@@ -512,6 +506,13 @@ class TestFit:
         assert [s.epoch for s in history] == [0, 1, 2]
         assert all(s.test_error is not None for s in history)
         assert seen == history
+
+    def test_tbp_without_tangents_raises_before_any_step(self):
+        x = np.zeros((4, 1, 7, 7))
+        for algo in ("tbp", "fast-tbp"):
+            with pytest.raises(ConfigError, match="tangent"):
+                fit(acceptance_net(0), x, np.zeros((4, 16)),
+                    TrainConfig(algo=algo, epochs=0))
 
     def test_label_count_mismatch(self):
         with pytest.raises(ConfigError, match="labels count"):
