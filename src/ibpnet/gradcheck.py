@@ -2,15 +2,18 @@
 identities, route equivalences, the adversarial first-order check, and the
 single-neuron noise-injection identity.
 
-Reference values never come from the layer vjp/jvp code paths. Main-loss
-gradients are checked against central differences of plain forward
-evaluations. Auxiliary gradients are checked against central differences of
-the function the algorithms actually differentiate: the penalty evaluated on
-a *frozen* linearization of the network, in which data-dependent pieces
-(relu masks, max positions, softmax Jacobians, dropout masks, penalty
-seeds, adversarial points) are constants captured at the base weights and
-only the explicit weight-matrix factors vary. The frozen chain is re-applied
-here with loop/einsum arithmetic of its own.
+Reference values never come from the layer vjp/jvp code paths; the
+finite-difference checks judge the gradients the training step (run_step)
+returns. Main-loss gradients are checked against central differences of
+plain forward evaluations. Auxiliary gradients are checked against central
+differences of the function the algorithms actually differentiate: the
+penalty evaluated on a *frozen* linearization of the network, in which
+data-dependent pieces (relu masks, max positions, softmax Jacobians, dropout
+masks, the loss seed, the signs of r=1 penalties, adversarial points) are
+constants captured at the base weights and only the explicit weight-matrix
+factors vary. The frozen penalty is then linear in each weight at r=1 and
+quadratic at r=2, so one step and one tolerance serve every penalty. The
+frozen chain is re-applied here with loop/einsum arithmetic of its own.
 
 Relative errors compare per coordinate against max(|a|, |b|) with a floor of
 1% of the tensor's largest magnitude, so dominant coordinates are compared
@@ -34,24 +37,15 @@ from .layers import (
     Sigmoid,
     Softmax,
 )
-from .losses import aux_loss_direction, aux_loss_dot, aux_loss_lp
 from .network import Network
 from .tensor import rng_stream
 from .training import (
     TrainConfig,
     _forward_loss,
     _main_passes,
-    _sum_tangents,
     adversarial_shift,
     run_step,
-    step_pred_ibp,
-    step_tbp,
 )
-
-# r=1 penalties take absolute values; coordinates whose base magnitude is
-# within this of the kink at zero are excluded from finite-difference
-# comparisons on both sides (shared convention with the training steps)
-KINK_EPS = 1e-7
 
 # check_fast_at_firstorder: the most a residual/eps rate may keep between
 # consecutive decade-spaced eps levels (second order gives 0.1)
@@ -291,62 +285,6 @@ class FrozenChain:
         return s
 
 
-def _kink_mask(v: np.ndarray, r: int):
-    """1 where an r=1 penalty on v is away from its kink, else 0; None at r=2."""
-    return None if r == 2 else (np.abs(v) >= KINK_EPS).astype(np.float64)
-
-
-def _masked_lp(v: np.ndarray, r: int, mask) -> float:
-    if r == 1:
-        vm = np.abs(v) if mask is None else np.abs(v) * mask
-        return float(vm.sum())
-    return float(0.5 * np.square(v).sum())
-
-
-# ---------------------------------------------------------------------------
-# Algorithm-side auxiliary gradients (optionally kink-masked)
-# ---------------------------------------------------------------------------
-
-def _aux_loss_ibp(net: Network, x, labels, cfg: TrainConfig, mask=None):
-    """aux_dw exactly as the loss-ibp step computes them, with an optional
-    coordinate mask on the penalty (the shared kink convention)."""
-    _, dy0, top = _main_passes(net, x, labels, cfg, train=False)
-    _, seed = aux_loss_lp(dy0, cfg.r)
-    if cfg.r == 2:
-        seed = x.shape[0] * seed
-    if mask is not None:
-        seed = seed * mask
-    net.zero_aux()
-    net.jvp(seed, upto=top)
-    net.aux_from_cot()
-    return [l.aux_dw.copy() for l in net.param_layers]
-
-
-def _aux_tangent_lp(net: Network, x, labels, cfg: TrainConfig, tangents, masks):
-    """aux_dw as the pred-ibp/tbp steps compute them, with per-tangent masks."""
-    _, _, top = _main_passes(net, x, labels, cfg, train=False)
-    net.zero_aux()
-    n = x.shape[0]
-    for t, mask in zip(tangents, masks):
-        out = net.jvp(t, upto=top)
-        _, seed = aux_loss_direction(out, cfg.r)
-        if mask is not None:
-            seed = seed * mask
-        net.lin_vjp(seed / n, upto=top)
-    return [l.aux_dw.copy() for l in net.param_layers]
-
-
-def _aux_fast_tbp(net: Network, x, labels, cfg: TrainConfig, tangents):
-    """aux_dw as the fast-tbp step computes them: one push of the tangents
-    summed in list order."""
-    _, dy0, top = _main_passes(net, x, labels, cfg, train=False)
-    net.zero_aux()
-    _, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
-    net.jvp(seed, upto=top)
-    net.aux_from_cot()
-    return [l.aux_dw.copy() for l in net.param_layers]
-
-
 # ---------------------------------------------------------------------------
 # Check: main-loss weight gradients vs finite differences
 # ---------------------------------------------------------------------------
@@ -376,54 +314,43 @@ def check_main_grad_fd(net: Network, batch, cfg: TrainConfig,
 # Check: auxiliary weight gradients vs finite differences of the frozen chain
 # ---------------------------------------------------------------------------
 
-def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None,
-                      h: float | None = None) -> CheckReport:
-    """d~w of the regularized algorithms against central differences of the
-    frozen-chain penalty (r=1 penalties are kink-masked on both sides)."""
+def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None) -> CheckReport:
+    """aux_dw of the training step (run_step) against central differences of
+    the frozen-chain penalty. The r=1 signs are frozen at the base weights
+    like the other data-dependent pieces, so the penalty is linear in each
+    weight at r=1 (and for fast-tbp's dot penalty) and quadratic at r=2."""
     if cfg.algo not in ("loss-ibp", "pred-ibp", "tbp", "fast-tbp"):
         raise ConfigError(f"{cfg.algo} has no auxiliary gradients to check")
     x, labels = batch
     n = x.shape[0]
-    smooth = cfg.r == 2 or cfg.algo == "fast-tbp"
-    if h is None:
-        # the smaller r=1 step keeps FD excursions inside the mask band, so
-        # no masked-in coordinate crosses its kink within a stencil
-        h = 1e-5 if smooth else 1e-6
-    tol = 1e-6 if smooth else 1e-4
     name = f"aux-fd/{cfg.algo}" + ("" if cfg.algo == "fast-tbp" else f"/r{cfg.r}")
+    aux = run_step(net, batch, cfg, tangents).grads.aux_dw
     _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
     chain = FrozenChain(net, x, upto=top)
 
     if cfg.algo == "loss-ibp":
-        mask = _kink_mask(chain.pull(seed), cfg.r)
-        aux = _aux_loss_ibp(net, x, labels, cfg, mask=mask)
         scale = n if cfg.r == 2 else 1.0
-
-        def eval_fn():
-            return scale * _masked_lp(chain.pull(seed), cfg.r, mask)
-
-    elif cfg.algo == "fast-tbp":
-        frozen = [t.copy() for t in tangents]
-        aux = _aux_fast_tbp(net, x, labels, cfg, frozen)
-
-        def eval_fn():
-            return sum(float((seed * chain.push(t)).sum()) for t in frozen)
-
+        outputs = lambda: [chain.pull(seed)]
     else:  # pred-ibp is tbp with the frozen input cotangent as its tangent
         if cfg.algo == "pred-ibp":
             tangents = [chain.pull(seed)]
-        masks = [_kink_mask(chain.push(t), cfg.r) for t in tangents]
-        frozen = [t.copy() for t in tangents]
-        aux = _aux_tangent_lp(net, x, labels, cfg, frozen, masks)
+        scale = 1.0 / n
+        outputs = lambda: [chain.push(t) for t in tangents]
+    if cfg.algo == "fast-tbp":  # the dot penalty sum_k seed . push(t_k)
+        coeffs, scale = [seed] * len(tangents), 1.0
+    elif cfg.r == 1:  # ||v||_1 with sign(v) frozen at the base weights
+        coeffs = [np.sign(v) for v in outputs()]
+    else:  # 0.5 ||v||^2
+        coeffs = None
 
-        def eval_fn():
-            return sum(
-                _masked_lp(chain.push(t), cfg.r, m) for t, m in zip(frozen, masks)
-            ) / n
+    def eval_fn():
+        if coeffs is None:
+            return scale * sum(0.5 * float((v * v).sum()) for v in outputs())
+        return scale * sum(float((c * v).sum()) for c, v in zip(coeffs, outputs()))
 
-    fdw, _ = fd_weight_grad(net, eval_fn, h=h, biases=False)
+    fdw, _ = fd_weight_grad(net, eval_fn, biases=False)
     pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(aux, fdw))]
-    return compare_tensors(name, pairs, tol)
+    return compare_tensors(name, pairs, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -472,30 +399,23 @@ def check_layer_identities(net: Network, x, seed: int = 0) -> list:
 # Check: route equivalences
 # ---------------------------------------------------------------------------
 
-def check_fast_tbp_equivalence(net: Network, batch, tangent,
-                               cfg: TrainConfig | None = None) -> CheckReport:
-    """One-push route (dot penalty, cached cotangents) against the four-pass
-    route (push, dot with the top seed, pull); agreement within 1e-10."""
+def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
+    """The fast-tbp step's one push (dot penalty, cached cotangents) against
+    the four-pass route (push, dot with the top seed, pull); agreement
+    within 1e-10."""
     x, labels = batch
-    if cfg is None:
-        cfg = TrainConfig(algo="fast-tbp")
-    _, dy0, top = _main_passes(net, x, labels, cfg, train=False)
-    _, seed, _ = _forward_loss(net, x, labels, cfg, train=False)  # forward only; cotangents stay
+    cfg = TrainConfig(algo="fast-tbp")
+    fast = run_step(net, batch, cfg, [tangent])
+    _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
 
     net.zero_aux()
-    val_a, push_seed = aux_loss_dot(dy0, tangent)
-    net.jvp(push_seed, upto=top)
-    net.aux_from_cot()
-    aux_a = [l.aux_dw.copy() for l in net.param_layers]
-
-    net.zero_aux()
-    out_b = net.jvp(tangent, upto=top)
-    val_b = float((seed * out_b).sum())
+    out = net.jvp(tangent, upto=top)
+    val = float((seed * out).sum())
     net.lin_vjp(seed, upto=top)
-    aux_b = [l.aux_dw.copy() for l in net.param_layers]
+    four = [l.aux_dw for l in net.param_layers]
 
-    pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(aux_a, aux_b))]
-    pairs.append(("aux-loss", np.array([val_a]), np.array([val_b])))
+    pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(fast.grads.aux_dw, four))]
+    pairs.append(("aux-loss", np.array([fast.aux_loss]), np.array([val])))
     return compare_tensors("equivalence/fast-tbp", pairs, 1e-10)
 
 
@@ -506,8 +426,8 @@ def check_tbp_matches_pred_ibp(net: Network, batch, cfg_r: int = 1) -> CheckRepo
     cfg_pred = TrainConfig(algo="pred-ibp", beta=1.0, r=cfg_r)
     cfg_tbp = TrainConfig(algo="tbp", beta=1.0, r=cfg_r)
     _, dy0, _ = _main_passes(net, x, labels, cfg_pred, train=False)
-    pred = step_pred_ibp(net, (x, labels), cfg_pred)
-    tbp = step_tbp(net, (x, labels), cfg_tbp, [dy0])
+    pred = run_step(net, batch, cfg_pred)
+    tbp = run_step(net, batch, cfg_tbp, [dy0])
     pairs = [(f"layer{i}.w", a, b)
              for i, (a, b) in enumerate(zip(pred.grads.aux_dw, tbp.grads.aux_dw))]
     pairs.append(("aux-loss", np.array([pred.aux_loss]), np.array([tbp.aux_loss])))
@@ -518,8 +438,8 @@ def check_tbp_matches_pred_ibp(net: Network, batch, cfg_r: int = 1) -> CheckRepo
 # Check: adversarial first-order expansion
 # ---------------------------------------------------------------------------
 
-def check_fast_at_firstorder(net: Network, batch, eps_list=(1e-4, 1e-5, 1e-6),
-                             cfg: TrainConfig | None = None) -> CheckReport:
+def check_fast_at_firstorder(net: Network, batch,
+                             eps_list=(1e-4, 1e-5, 1e-6)) -> CheckReport:
     """Residual |L(x*) - L(x) - eps*||grad||_1| divided by eps must shrink
     with eps: each ratio between consecutive levels must be at most
     FIRSTORDER_RATIO_TOL. At second order the ratio is the ratio of the
@@ -527,8 +447,7 @@ def check_fast_at_firstorder(net: Network, batch, eps_list=(1e-4, 1e-5, 1e-6),
     first-order residual, whose ratio tends to 1. The default levels are
     small enough that no max-pool position moves at the shifted input."""
     x, labels = batch
-    if cfg is None:
-        cfg = TrainConfig(algo="bp")
+    cfg = TrainConfig(algo="bp")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError(f"eps list must be decreasing, got {list(eps_list)}")
     loss0, dy0, _ = _main_passes(net, x, labels, cfg, train=False)

@@ -45,13 +45,13 @@ from .losses import (
     aux_loss_lp,
     nll_from_probs,
     nll_softmax_loss,
+    # not called here, but perfbench's probe table patches training.squared_loss
     squared_loss,
 )
 from .network import Network, batched_forward
 from .tensor import rng_stream, sign
 
 ALGOS = ("bp", "loss-ibp", "pred-ibp", "tbp", "fast-tbp", "at", "fast-at")
-LOSSES = ("nll", "squared")
 
 
 @dataclass
@@ -68,14 +68,11 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    loss: str = "nll"
     clip: bool = False
 
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.beta < 0 or self.epsilon < 0:
@@ -123,10 +120,10 @@ class StepResult:
     grads: GradientSet
 
 
-def _top_index(net: Network, cfg: TrainConfig) -> int:
-    """Index bounding the backward pass: below a final softmax under the
-    nll loss (the seed already contains its Jacobian), else the full stack."""
-    if cfg.loss == "nll" and net.layers and isinstance(net.layers[-1], Softmax):
+def _top_index(net: Network) -> int:
+    """Index bounding the backward pass: below a final softmax (the nll seed
+    already contains its Jacobian), else the full stack."""
+    if net.layers and isinstance(net.layers[-1], Softmax):
         return len(net.layers) - 1
     return len(net.layers)
 
@@ -138,10 +135,8 @@ def _forward_loss(net: Network, x, labels, cfg: TrainConfig, train: bool = True)
 
 def _loss_seed(net: Network, out, labels, cfg: TrainConfig):
     """Loss and backward seed at the network output out. Returns (L, seed, top_index)."""
-    top = _top_index(net, cfg)
-    if cfg.loss == "squared":
-        loss, seed = squared_loss(out, labels)
-    elif top < len(net.layers):
+    top = _top_index(net)
+    if top < len(net.layers):
         loss, seed = nll_from_probs(out, labels)
     else:
         loss, seed = nll_softmax_loss(out, labels)

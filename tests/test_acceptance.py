@@ -52,9 +52,10 @@ def probe_tangents(seed: int, shape, count: int = 2):
 
 
 def test_criterion_01_every_algorithm_matches_finite_differences():
-    """dw and aux dw of all seven algorithms agree with central differences
-    on a sub-600-parameter conv net: 1e-6 for smooth objectives, 1e-4 for
-    the kink-masked r=1 penalties. Budget: two minutes."""
+    """dw and aux dw of all seven algorithms, as run_step returns them, agree
+    with central differences on a sub-600-parameter conv net to 1e-6; the
+    r=1 penalties are differentiated with their signs frozen at the base
+    weights. Budget: two minutes."""
     t0 = time.perf_counter()
     net = acceptance_net(0)
     assert net.n_params() <= 600
@@ -72,7 +73,7 @@ def test_criterion_01_every_algorithm_matches_finite_differences():
             cfg = TrainConfig(algo=algo, beta=0.1, r=r)
             tan = tangents if algo == "tbp" else None
             rep = check_aux_grad_fd(net, batch, cfg, tangents=tan)
-            assert rep.tol == (1e-4 if r == 1 else 1e-6)
+            assert rep.tol == 1e-6
             reports.append(rep)
     rep = check_aux_grad_fd(net, batch, TrainConfig(algo="fast-tbp", beta=0.1),
                             tangents=tangents)
@@ -269,30 +270,32 @@ def test_criterion_08_per_epoch_cost_ratios_stay_in_band(glyphs_pair):
     net at batch size 32, relative to bp: loss-ibp in [1.2, 1.8], pred-ibp
     in [1.5, 2.2], five-tangent tbp at most 7, fast-tbp cheaper than tbp,
     fast-at cheaper than at. Epoch ratios are size-free, so a short subset
-    keeps the criterion affordable."""
+    keeps the criterion affordable. The algorithms take turns, one epoch
+    each per round with the first turn rotating, so a slow spell on a
+    shared machine falls on all of them alike."""
     train, _ = glyphs_pair
     n = 256
     x, labels = train.images[:n], train.labels[:n]
     tangents = dataset_tangents(x, sigma=0.9)
-
-    def median_epoch(cfg, tan=None) -> float:
-        net = mnist_paper_net(0)
-        history = fit(net, x, labels, cfg, tangents=tan)
-        # the first epoch pays one-off allocations
-        return float(np.median([ep.seconds for ep in history[1:]]))
-
-    def config(**kw) -> TrainConfig:
-        return TrainConfig(batch_size=32, epochs=4, seed=0, **kw)
-
-    seconds = {
-        "bp": median_epoch(config(algo="bp")),
-        "loss-ibp": median_epoch(config(algo="loss-ibp", beta=0.1, r=2)),
-        "pred-ibp": median_epoch(config(algo="pred-ibp", beta=0.1, r=2)),
-        "tbp": median_epoch(config(algo="tbp", beta=0.1, r=2), tangents),
-        "fast-tbp": median_epoch(config(algo="fast-tbp", beta=0.1), tangents),
-        "at": median_epoch(config(algo="at", epsilon=0.1)),
-        "fast-at": median_epoch(config(algo="fast-at", epsilon=0.1)),
+    settings = {
+        "bp": dict(algo="bp"),
+        "loss-ibp": dict(algo="loss-ibp", beta=0.1, r=2),
+        "pred-ibp": dict(algo="pred-ibp", beta=0.1, r=2),
+        "tbp": dict(algo="tbp", beta=0.1, r=2),
+        "fast-tbp": dict(algo="fast-tbp", beta=0.1),
+        "at": dict(algo="at", epsilon=0.1),
+        "fast-at": dict(algo="fast-at", epsilon=0.1),
     }
+    runs = [(algo, mnist_paper_net(0),
+             TrainConfig(batch_size=32, epochs=1, seed=0, **kw),
+             tangents if algo in ("tbp", "fast-tbp") else None)
+            for algo, kw in settings.items()]
+    epochs = {algo: [] for algo in settings}
+    for k in range(4):
+        for algo, net, cfg, tan in runs[k:] + runs[:k]:
+            epochs[algo].append(fit(net, x, labels, cfg, tangents=tan)[0].seconds)
+    # the first round pays one-off allocations
+    seconds = {algo: float(np.median(s[1:])) for algo, s in epochs.items()}
     ratio = {algo: s / seconds["bp"] for algo, s in seconds.items() if algo != "bp"}
     # the medians show whether bp or the other algorithm moved
     why = f"ratios {ratio}; median epoch seconds {seconds}"

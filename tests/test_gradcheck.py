@@ -4,7 +4,7 @@ finite-difference driver, oracle tensor ops, and the frozen linearization."""
 import numpy as np
 import pytest
 
-from ibpnet import gradcheck, training
+from ibpnet import gradcheck, losses, training
 from ibpnet.errors import ConfigError
 from ibpnet.gradcheck import (
     CheckReport,
@@ -19,6 +19,7 @@ from ibpnet.gradcheck import (
     _oracle_scatter,
     _synthetic_batch,
     all_passed,
+    check_aux_grad_fd,
     check_fast_at_firstorder,
     check_main_grad_fd,
     check_noise_injection,
@@ -259,6 +260,33 @@ class TestCheckVerdicts:
         assert check_main_grad_fd(net, batch, cfg).passed
         monkeypatch.setitem(training.STEPS, "at", training.step_fast_at)
         assert not check_main_grad_fd(net, batch, cfg).passed
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_aux_fd_judges_the_gradients_run_step_returns(self, monkeypatch, r):
+        # pred-ibp's step with every auxiliary gradient off by a factor 1 + 1e-5
+        net = acceptance_net(0)
+        batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
+        cfg = TrainConfig(algo="pred-ibp", beta=0.1, r=r)
+        assert check_aux_grad_fd(net, batch, cfg).passed
+
+        def skewed_step(*args):
+            res = training.step_pred_ibp(*args)
+            for a in res.grads.aux_dw:
+                a *= 1.0 + 1e-5
+            return res
+
+        monkeypatch.setitem(training.STEPS, "pred-ibp", skewed_step)
+        assert not check_aux_grad_fd(net, batch, cfg).passed
+
+    def test_aux_fd_fails_an_r1_seed_with_a_relative_error_of_1e_5(self, monkeypatch):
+        # the r=1 seed is sign(dy0); the frozen-sign oracle keeps np.sign
+        net = acceptance_net(0)
+        batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
+        cfg = TrainConfig(algo="loss-ibp", beta=0.1, r=1)
+        assert check_aux_grad_fd(net, batch, cfg).passed
+        monkeypatch.setattr(losses, "sign", lambda t: (1.0 + 1e-5) * np.sign(t))
+        rep = check_aux_grad_fd(net, batch, cfg)
+        assert not rep.passed, rep.line()
 
 
 class TestReportHelpers:

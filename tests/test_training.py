@@ -49,7 +49,6 @@ def make_batch(rng, n, in_shape, classes):
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"algo": "sgd"},
-        {"loss": "hinge"},
         {"alpha": 0.0},
         {"beta": -1.0},
         {"epsilon": -0.1},
@@ -130,15 +129,6 @@ class TestAdversarialShift:
 
 
 class TestStepClosedForms:
-    def test_bp_on_linear_net_squared_loss(self):
-        # out = w x, L = (out - t)^2 / 2 with one sample: dw = x (out - t)
-        net = one_param_net(2.0)
-        cfg = TrainConfig(algo="bp", loss="squared", momentum=0.0, decay=1.0)
-        res = step_bp(net, (np.array([[1.0]]), np.array([[0.0]])), cfg)
-        assert (res.main_loss, res.aux_loss) == (2.0, 0.0)
-        np.testing.assert_array_equal(res.grads.dw[0], [[2.0]])
-        np.testing.assert_array_equal(res.grads.db[0], [2.0])
-
     def test_at_epsilon_zero_equals_bp_bitwise(self):
         rng = np.random.default_rng(4)
         x, labels = make_batch(rng, 8, (1, 7, 7), 16)
