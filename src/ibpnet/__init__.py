@@ -41,7 +41,7 @@ from .losses import (
     squared_loss,
 )
 from .network import Network, batched_forward, layer_from_spec
-from .perturb import NoiseSweep, adversarial_testset, gaussian_testset, sweep
+from .perturb import NoiseSweep, gaussian_testset, sweep
 from .presets import PRESETS, acceptance_net, build_net, zoo_net
 from .tangents import (
     TANGENT_NAMES,
@@ -94,7 +94,6 @@ __all__ = [
     "TrainConfig",
     "acceptance_net",
     "adversarial_shift",
-    "adversarial_testset",
     "all_passed",
     "augment_batch",
     "aux_loss_direction",

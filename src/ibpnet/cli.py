@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -36,18 +37,18 @@ from .perturb import CSV_HEADER, SWEEP_KINDS, sweep
 from .presets import PRESETS, build_net
 from .tangents import load_or_build_tangents
 from .tensor import rng_stream
-from .training import ALGOS, TrainConfig, fit
+from .training import (
+    ADVERSARIAL,
+    ALGOS,
+    LP_ALGOS,
+    REGULARIZED,
+    TANGENT_ALGOS,
+    TrainConfig,
+    fit,
+)
 from . import __version__
 
-REGULARIZED = ("loss-ibp", "pred-ibp", "tbp", "fast-tbp")
-LP_ALGOS = ("loss-ibp", "pred-ibp", "tbp")
-ADVERSARIAL = ("at", "fast-at")
-
 EPOCH_CSV_HEADER = "epoch,train_loss,aux_loss,test_error,lr"
-
-
-def build_id() -> str:
-    return f"ibpnet-{__version__}"
 
 
 def _parse_floats(text: str) -> list:
@@ -68,65 +69,43 @@ def _data_dir(args) -> str:
 # train
 # ---------------------------------------------------------------------------
 
-def _train_settings(args) -> dict:
-    """Merge explicit flags over preset values over base defaults; reject
-    flag combinations that have no effect."""
-    preset = {}
-    if args.preset is not None:
-        preset = PRESETS[args.preset]
-
-    def pick(value, key, default):
-        if value is not None:
-            return value
-        return preset.get(key, default)
-
-    algo = args.algo or "bp"
+def _train_settings(args) -> tuple:
+    """(cfg, betas, run): the TrainConfig from the flags set over the preset
+    over TrainConfig's defaults, the --beta-grid values, and the run settings
+    TrainConfig does not hold. Flags without effect are rejected."""
+    preset = PRESETS.get(args.preset, {})
+    names = [f.name for f in fields(TrainConfig)]  # each the dest of its train flag
+    from_preset = {k: preset[k] for k in names if k in preset}
+    from_flags = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    cfg = TrainConfig(**{**from_preset, **from_flags})
     if args.beta is not None and args.beta_grid is not None:
         raise ConfigError("--beta and --beta-grid are mutually exclusive")
-    if (args.beta is not None or args.beta_grid is not None) and algo not in REGULARIZED:
-        raise ConfigError(f"--beta has no effect with --algo {algo}")
-    if args.epsilon is not None and algo not in ADVERSARIAL:
-        raise ConfigError(f"--epsilon has no effect with --algo {algo}")
-    if args.r is not None and algo not in LP_ALGOS:
-        raise ConfigError(f"--r has no effect with --algo {algo}")
-    dataset = pick(args.dataset, "dataset", "mnist")
+    beta = args.beta if args.beta_grid is None else args.beta_grid
+    for flag, value, family in (("--beta", beta, REGULARIZED),
+                                ("--epsilon", args.epsilon, ADVERSARIAL),
+                                ("--r", args.r, LP_ALGOS)):
+        if value is not None and cfg.algo not in family:
+            raise ConfigError(f"{flag} has no effect with --algo {cfg.algo}")
+    dataset = args.dataset or preset.get("dataset", "mnist")
     default_net = {"mnist": "mnist-paper", "digits": "mnist-tiny",
                    "glyphs": "mnist-tiny", "cifar10": "cifar-paper"}[dataset]
-    if args.beta_grid is not None:
-        betas = _parse_floats(args.beta_grid)
-    else:
-        betas = [args.beta if args.beta is not None else 0.0]
-    return dict(
-        algo=algo,
-        dataset=dataset,
-        net=preset.get("net", default_net),
-        subset=pick(args.subset_size, "subset", 0),
-        betas=betas,
-        epsilon=args.epsilon if args.epsilon is not None else 0.0,
-        r=args.r if args.r is not None else 1,
-        epochs=pick(args.epochs, "epochs", 1),
-        alpha=pick(args.lr, "alpha", 0.1),
-        momentum=pick(args.momentum, "momentum", 0.9),
-        decay=pick(args.gamma, "decay", 0.98),
-        batch_size=pick(args.batch_size, "batch_size", 32),
-        sigma=preset.get("sigma", 0.9),
-        seed=args.seed,
-        augment=args.augment,
-        normalize_tangents=args.normalize_tangents,
-        clip=args.clip,
-        preset=args.preset,
-    )
+    betas = [cfg.beta] if args.beta_grid is None else _parse_floats(args.beta_grid)
+    subset_size = preset.get("subset", 0) if args.subset_size is None else args.subset_size
+    run = dict(dataset=dataset, net=preset.get("net", default_net), subset=subset_size,
+               sigma=preset.get("sigma", 0.9), augment=args.augment,
+               normalize_tangents=args.normalize_tangents, preset=args.preset)
+    return cfg, betas, run
 
 
-def run_name(s: dict, beta: float) -> str:
-    name = f"{s['dataset']}-{s['algo']}"
-    if s["algo"] in REGULARIZED:
-        name += f"-beta{beta:g}"
-    if s["algo"] in LP_ALGOS:
-        name += f"-r{s['r']}"
-    if s["algo"] in ADVERSARIAL:
-        name += f"-eps{s['epsilon']:g}"
-    return name + f"-seed{s['seed']}"
+def run_name(cfg: TrainConfig, dataset: str) -> str:
+    name = f"{dataset}-{cfg.algo}"
+    if cfg.algo in REGULARIZED:
+        name += f"-beta{cfg.beta:g}"
+    if cfg.algo in LP_ALGOS:
+        name += f"-r{cfg.r}"
+    if cfg.algo in ADVERSARIAL:
+        name += f"-eps{cfg.epsilon:g}"
+    return name + f"-seed{cfg.seed}"
 
 
 def _write_epoch_csv(path: str, history):
@@ -137,16 +116,11 @@ def _write_epoch_csv(path: str, history):
                      f"{st.test_error:.12g},{st.lr:.12g}\n")
 
 
-def train_once(s: dict, beta: float, train_ds, test_ds, tangents, out: str) -> dict:
-    cfg = TrainConfig(
-        algo=s["algo"], alpha=s["alpha"], beta=beta, epsilon=s["epsilon"],
-        r=s["r"], momentum=s["momentum"], decay=s["decay"], epochs=s["epochs"],
-        batch_size=s["batch_size"], seed=s["seed"], clip=s["clip"],
-    )
-    net = build_net(s["net"], s["seed"])
+def train_once(cfg: TrainConfig, run: dict, train_ds, test_ds, tangents, out: str):
+    net = build_net(run["net"], cfg.seed)
     batch_transform = None
-    if s["augment"]:
-        aug_rng = rng_stream(s["seed"], "augment")
+    if run["augment"]:
+        aug_rng = rng_stream(cfg.seed, "augment")
         spec = AugmentSpec()
         mean = train_ds.mean_pixel
 
@@ -154,7 +128,7 @@ def train_once(s: dict, beta: float, train_ds, test_ds, tangents, out: str) -> d
             raw = denormalize(xb, mean)
             return normalize(augment_batch(raw, spec, aug_rng), mean)
 
-    name = run_name(s, beta)
+    name = run_name(cfg, run["dataset"])
     print(f"== {name} ==", flush=True)
     log = lambda st: print(
         f"epoch {st.epoch:3d}  loss {st.mean_loss:.6f}  aux {st.mean_aux:.6f}"
@@ -171,16 +145,8 @@ def train_once(s: dict, beta: float, train_ds, test_ds, tangents, out: str) -> d
     _write_epoch_csv(os.path.join(out, name + ".csv"), history)
     record = dict(
         name=name,
-        build_id=build_id(),
-        config=dict(
-            algo=s["algo"], dataset=s["dataset"], preset=s["preset"],
-            net=s["net"], subset=s["subset"], beta=beta, epsilon=s["epsilon"],
-            r=s["r"], alpha=s["alpha"], momentum=s["momentum"],
-            decay=s["decay"], epochs=s["epochs"], batch_size=s["batch_size"],
-            seed=s["seed"], augment=s["augment"],
-            normalize_tangents=s["normalize_tangents"], sigma=s["sigma"],
-            clip=s["clip"],
-        ),
+        build_id=f"ibpnet-{__version__}",
+        config={**asdict(cfg), **run},
         epochs=[
             dict(epoch=st.epoch, train_loss=st.mean_loss, aux_loss=st.mean_aux,
                  test_error=st.test_error, lr=st.lr, seconds=st.seconds)
@@ -196,22 +162,22 @@ def train_once(s: dict, beta: float, train_ds, test_ds, tangents, out: str) -> d
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     if history:
         print(f"final test_err {history[-1].test_error:.4f}  model {model_path}")
-    return record
 
 
 def cmd_train(args) -> int:
-    s = _train_settings(args)
-    train_ds, test_ds = load_split_pair(_data_dir(args), s["dataset"])
-    if s["subset"]:
-        train_ds = subset(train_ds, s["subset"], s["seed"])
+    cfg, betas, run = _train_settings(args)
+    cfgs = [replace(cfg, beta=beta) for beta in betas]  # all checked before any data is read
+    train_ds, test_ds = load_split_pair(_data_dir(args), run["dataset"])
+    if run["subset"]:
+        train_ds = subset(train_ds, run["subset"], cfg.seed)
     tangents = None
-    if s["algo"] in ("tbp", "fast-tbp"):
+    if cfg.algo in TANGENT_ALGOS:
         tangents = load_or_build_tangents(
-            train_ds.images, s["sigma"], s["normalize_tangents"]
+            train_ds.images, run["sigma"], run["normalize_tangents"]
         )
     os.makedirs(args.out, exist_ok=True)
-    for beta in s["betas"]:
-        train_once(s, beta, train_ds, test_ds, tangents, args.out)
+    for beta_cfg in cfgs:
+        train_once(beta_cfg, run, train_ds, test_ds, tangents, args.out)
     return 0
 
 
@@ -310,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
+    # the dests of the TrainConfig flags are its field names, and a flag left
+    # at None takes the preset's value or else the field's default
     t = sub.add_parser("train", help="train one model (or a --beta-grid sweep)")
     t.add_argument("--algo", choices=ALGOS, default=None)
     t.add_argument("--dataset", choices=DATASETS, default=None)
@@ -324,20 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--r", type=int, choices=(1, 2), default=None,
                    help="penalty norm order for lp-penalized algorithms")
     t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None, help="learning rate alpha")
+    t.add_argument("--lr", dest="alpha", type=float, default=None,
+                   help="learning rate alpha")
     t.add_argument("--momentum", type=float, default=None)
-    t.add_argument("--gamma", type=float, default=None,
+    t.add_argument("--gamma", dest="decay", type=float, default=None,
                    help="per-epoch learning-rate decay factor")
     t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, default=None)
     t.add_argument("--augment", action="store_true",
                    help="random shift/scale/rotation per training batch")
     t.add_argument("--preset", choices=sorted(PRESETS), default=None)
     t.add_argument("--out", default="runs", help="output directory")
     t.add_argument("--data-dir", default=None,
                    help="dataset directory (default $IBP_DATA_DIR or ./data)")
-    t.add_argument("--clip", action="store_true",
-                   help="clip adversarial points to [0, 1]")
     t.add_argument("--normalize-tangents", action="store_true",
                    help="scale each tangent image to unit L2 norm")
     t.set_defaults(fn=cmd_train)

@@ -1,12 +1,12 @@
-"""Corrupted test sets and error-vs-noise-level sweeps.
+"""Error-vs-noise-level sweeps over corrupted test sets.
 
 Adversarial corruption shifts each pixel by epsilon in the direction of the
-loss gradient sign, computed against the true labels once per sweep; the
-forward pass of that gradient also scores level 0. Gaussian corruption adds
-N(0, sigma^2) noise from a per-level RNG stream, so results do not depend
-on the order in which levels are evaluated. Every other level is scored by
-error_rate (``Network.predict``). Sweeps emit one CSV row per level with the
-schema `kind,level,error,n,seed`.
+loss gradient sign, unclipped, with the gradient taken against the true
+labels once per sweep; the forward pass of that gradient also scores level
+0. Gaussian corruption adds N(0, sigma^2) noise from a per-level RNG
+stream, so results do not depend on the order in which levels are
+evaluated. Every other level is scored by error_rate (``Network.predict``).
+Sweeps emit one CSV row per level with the schema `kind,level,error,n,seed`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .network import Network
 from .tensor import rng_stream
-from .training import adversarial_shift, error_rate, input_gradient, output_error
+from .training import error_rate, input_gradient, output_error
 
 SWEEP_KINDS = ("adversarial", "gaussian")
 CSV_HEADER = "kind,level,error,n,seed"
@@ -43,19 +43,6 @@ class NoiseSweep:
             fh.write(CSV_HEADER + "\n")
             for row in self.rows():
                 fh.write(row + "\n")
-
-
-def adversarial_testset(net: Network, images: np.ndarray, labels: np.ndarray,
-                        epsilon: float, clip: bool = False,
-                        batch_size: int = 256) -> np.ndarray:
-    """x + epsilon * sign(grad_x L) per sample, against the true labels.
-
-    Model weights are read but never modified.
-    """
-    if epsilon == 0.0:
-        return images
-    grad, _ = input_gradient(net, images, labels, batch_size=batch_size)
-    return adversarial_shift(images, grad, epsilon, clip)
 
 
 def gaussian_testset(images: np.ndarray, sigma: float, seed: int) -> np.ndarray:

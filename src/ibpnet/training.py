@@ -16,8 +16,8 @@ cotangent dy0. The regularized variants add passes over the network
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
   the four-pass route becomes one push plus cached-cotangent contractions.
-* at / fast-at: a second forward/backward at the adversarially shifted
-  input; at averages both gradient sets, fast-at keeps only the second.
+* at / fast-at: a second forward/backward at x + epsilon * sign(dy0), not
+  clipped; at averages both gradient sets, fast-at keeps only the second.
 
 Auxiliary batch convention: main losses are batch means, so the input
 cotangent dy0 carries a 1/batch factor. Penalties seeded by dy0 are already
@@ -52,6 +52,11 @@ from .network import Network, batched_forward
 from .tensor import rng_stream, sign
 
 ALGOS = ("bp", "loss-ibp", "pred-ibp", "tbp", "fast-tbp", "at", "fast-at")
+# the algorithms that read beta, r, tangent vectors and epsilon
+REGULARIZED = ("loss-ibp", "pred-ibp", "tbp", "fast-tbp")
+LP_ALGOS = ("loss-ibp", "pred-ibp", "tbp")
+TANGENT_ALGOS = ("tbp", "fast-tbp")
+ADVERSARIAL = ("at", "fast-at")
 
 
 @dataclass
@@ -68,7 +73,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    clip: bool = False
 
     def __post_init__(self):
         if self.algo not in ALGOS:
@@ -241,13 +245,11 @@ def step_fast_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
     return StepResult(loss, aux, GradientSet.capture(net, aux=True))
 
 
-def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float,
-                      clip: bool = False) -> np.ndarray:
-    """x + epsilon * sign(dy0), optionally clipped to [0, 1]."""
+def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float) -> np.ndarray:
+    """x + epsilon * sign(dy0)."""
     if epsilon == 0.0:
         return x
-    xs = x + epsilon * sign(dy0)
-    return np.clip(xs, 0.0, 1.0) if clip else xs
+    return x + epsilon * sign(dy0)
 
 
 def step_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
@@ -256,7 +258,7 @@ def step_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     x, labels = batch
     loss1, dy0, _ = _main_passes(net, x, labels, cfg)
     first = GradientSet.capture(net)
-    xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
+    xs = adversarial_shift(x, dy0, cfg.epsilon)
     loss2, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
     return StepResult((loss1 + loss2) / 2.0, 0.0, first.average(GradientSet.capture(net)))
 
@@ -268,7 +270,7 @@ def step_fast_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepRe
     x, labels = batch
     _, seed, top = _forward_loss(net, x, labels, cfg)
     dy0 = net.vjp_linear(seed, upto=top)
-    xs = adversarial_shift(x, dy0, cfg.epsilon, cfg.clip)
+    xs = adversarial_shift(x, dy0, cfg.epsilon)
     loss, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
     return StepResult(loss, 0.0, GradientSet.capture(net))
 
@@ -280,7 +282,7 @@ STEPS = {
 
 
 def _require_tangents(cfg: TrainConfig, tangents) -> None:
-    if tangents is None and cfg.algo in ("tbp", "fast-tbp"):
+    if tangents is None and cfg.algo in TANGENT_ALGOS:
         raise ConfigError(f"{cfg.algo} requires tangent vectors")
 
 

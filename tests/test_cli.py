@@ -3,11 +3,13 @@ degenerate-settings equivalences visible through the CSV curves."""
 
 import json
 import os
+from dataclasses import asdict, fields
 
 import pytest
 
 from ibpnet.cli import EPOCH_CSV_HEADER, main, run_name
 from ibpnet.perturb import CSV_HEADER
+from ibpnet.training import TrainConfig
 
 
 def train_args(glyphs_dir, out, *extra):
@@ -24,14 +26,13 @@ def read_csv_rows(path):
 
 class TestRunName:
     def test_variants(self):
-        base = dict(dataset="digits", algo="bp", r=1, epsilon=0.0, seed=0)
-        assert run_name(base, 0.0) == "digits-bp-seed0"
-        s = dict(base, algo="loss-ibp", r=2, seed=1)
-        assert run_name(s, 0.3) == "digits-loss-ibp-beta0.3-r2-seed1"
-        s = dict(base, dataset="mnist", algo="at", epsilon=0.1)
-        assert run_name(s, 0.0) == "mnist-at-eps0.1-seed0"
-        s = dict(base, algo="fast-tbp")
-        assert run_name(s, 1.0) == "digits-fast-tbp-beta1-seed0"
+        assert run_name(TrainConfig(), "digits") == "digits-bp-seed0"
+        cfg = TrainConfig(algo="loss-ibp", beta=0.3, r=2, seed=1)
+        assert run_name(cfg, "digits") == "digits-loss-ibp-beta0.3-r2-seed1"
+        cfg = TrainConfig(algo="at", epsilon=0.1)
+        assert run_name(cfg, "mnist") == "mnist-at-eps0.1-seed0"
+        cfg = TrainConfig(algo="fast-tbp", beta=1.0)
+        assert run_name(cfg, "digits") == "digits-fast-tbp-beta1-seed0"
 
 
 class TestTrain:
@@ -56,6 +57,34 @@ class TestTrain:
         assert rec["model_path"] == str(model)
         assert 0.0 <= rec["final_test_error"] <= 1.0
         assert rec["epochs"][0]["seconds"] > 0
+
+    def test_flags_override_preset_over_train_config_defaults(self, glyphs_dir,
+                                                               tmp_path):
+        args = ["train", "--preset", "mnist-tiny", "--dataset", "glyphs",
+                "--subset-size", "100", "--epochs", "1", "--lr", "0.05",
+                "--data-dir", glyphs_dir, "--out", str(tmp_path)]
+        assert main(args) == 0
+        config = json.loads((tmp_path / "runs.jsonl").read_text())["config"]
+        assert (config["alpha"], config["epochs"]) == (0.05, 1)  # flags
+        assert (config["momentum"], config["batch_size"]) == (0.9, 32)  # preset
+        assert config["preset"] == config["net"] == "mnist-tiny"
+        assert (config["dataset"], config["subset"]) == ("glyphs", 100)
+        # every TrainConfig field is recorded, so the record rebuilds the run
+        cfg = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
+        assert cfg == TrainConfig(alpha=0.05, epochs=1, momentum=0.9, decay=0.98,
+                                  batch_size=32)
+        run_keys = {"dataset", "net", "subset", "sigma", "augment",
+                    "normalize_tangents", "preset"}
+        assert set(config) == set(asdict(cfg)) | run_keys
+
+    def test_bad_value_fails_before_any_data_is_read(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        args = ["train", "--lr", "0", "--data-dir", str(empty),
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert not any(empty.iterdir())
 
     def test_beta_grid_one_run_per_value(self, glyphs_dir, tmp_path):
         args = train_args(glyphs_dir, tmp_path, "--algo", "loss-ibp",
@@ -111,6 +140,11 @@ class TestTrain:
     def test_unknown_algo_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--algo", "dropconnect"])
+        assert exc.value.code == 2
+
+    def test_clip_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--clip"])
         assert exc.value.code == 2
 
 

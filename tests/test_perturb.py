@@ -11,12 +11,11 @@ from ibpnet.errors import ConfigError
 from ibpnet.perturb import (
     CSV_HEADER,
     SWEEP_KINDS,
-    adversarial_testset,
     gaussian_testset,
     sweep,
 )
 from ibpnet.presets import acceptance_net
-from ibpnet.training import error_rate
+from ibpnet.training import adversarial_shift, error_rate, input_gradient
 
 from batches import make_batch
 
@@ -29,33 +28,17 @@ def net_and_data():
 
 
 class TestCorruptedSets:
-    def test_zero_epsilon_returns_input_unchanged(self, net_and_data):
-        net, x, labels = net_and_data
-        assert adversarial_testset(net, x, labels, 0.0) is x
-
     def test_zero_sigma_returns_input_unchanged(self, net_and_data):
         _, x, _ = net_and_data
         assert gaussian_testset(x, 0.0, seed=1) is x
 
     def test_adversarial_moves_pixels_by_epsilon(self, net_and_data):
         net, x, labels = net_and_data
-        shifted = adversarial_testset(net, x, labels, 0.25)
+        shifted = adversarial_shift(x, input_gradient(net, x, labels)[0], 0.25)
         moved = np.abs(shifted - x)
         # pixels the pooling never selects have zero gradient and stay put
         assert ((np.abs(moved - 0.25) < 1e-12) | (moved == 0.0)).all()
         assert (moved > 0.0).mean() > 0.5
-
-    def test_adversarial_leaves_weights_alone(self, net_and_data):
-        net, x, labels = net_and_data
-        before = [w.copy() for w, _ in net.params()]
-        adversarial_testset(net, x, labels, 0.1)
-        for old, (w, _) in zip(before, net.params()):
-            np.testing.assert_array_equal(old, w)
-
-    def test_adversarial_clip(self, net_and_data):
-        net, x, labels = net_and_data
-        clipped = adversarial_testset(net, x, labels, 0.5, clip=True)
-        assert clipped.min() >= 0.0 and clipped.max() <= 1.0
 
     def test_gaussian_deterministic_per_level_and_seed(self, net_and_data):
         _, x, _ = net_and_data
@@ -130,7 +113,8 @@ class TestSweep:
                                                            monkeypatch):
         net, x, labels = net_and_data
         levels = [0.0, 0.05, 0.1, 0.2]
-        want = [error_rate(net, adversarial_testset(net, x, labels, eps), labels)
+        grad = input_gradient(net, x, labels)[0]
+        want = [error_rate(net, adversarial_shift(x, grad, eps), labels)
                 for eps in levels]
         calls = []
         gradient = perturb.input_gradient

@@ -122,11 +122,6 @@ class TestAdversarialShift:
         got = adversarial_shift(x, np.array([2.0, -3.0]), 0.1)
         np.testing.assert_allclose(got, [0.6, 0.4], rtol=1e-15)
 
-    def test_clip_to_unit_interval(self):
-        x = np.array([0.95, 0.05])
-        got = adversarial_shift(x, np.array([1.0, -1.0]), 0.1, clip=True)
-        np.testing.assert_array_equal(got, [1.0, 0.0])
-
 
 class TestStepClosedForms:
     def test_at_epsilon_zero_equals_bp_bitwise(self):
@@ -407,6 +402,15 @@ class TestInputGradient:
         a, _ = input_gradient(net, x, labels, batch_size=3)
         b, _ = input_gradient(net, x, labels, batch_size=100)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+
+    def test_leaves_weights_alone(self):
+        rng = np.random.default_rng(13)
+        net = acceptance_net(13)
+        x, labels = make_batch(rng, 10, (1, 7, 7), 16)
+        before = [w.copy() for w, _ in net.params()]
+        input_gradient(net, x, labels)
+        for old, (w, _) in zip(before, net.params()):
+            np.testing.assert_array_equal(old, w)
 
     def test_returns_the_clean_outputs_of_its_forward(self):
         rng = np.random.default_rng(12)

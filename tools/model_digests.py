@@ -1,17 +1,25 @@
-"""Train nine step configurations for one epoch on two nets and print the
-sha256 of each saved model file.
+"""Train nine step configurations for one epoch on two nets, and two
+``ibpnet train`` commands, and print the sha256 of each saved model file
+and epoch CSV.
 
-Each run builds ``mnist-tiny`` or ``mnist-paper`` from seed 0 and trains it
-for one epoch, in two batches of 32, on the same 64 seeded 1x28x28 images,
-labels and tangents. Every algorithm runs: bp, loss-ibp and pred-ibp at
-r=1 and r=2, tbp, fast-tbp, at and fast-at. The model is written with
-``Network.save`` and its digest printed, one line per run:
+Each ``fit`` run builds ``mnist-tiny`` or ``mnist-paper`` from seed 0 and
+trains it for one epoch, in two batches of 32, on the same 64 seeded
+1x28x28 images, labels and tangents. Every algorithm runs: bp, loss-ibp and
+pred-ibp at r=1 and r=2, tbp, fast-tbp, at and fast-at. The model is
+written with ``Network.save`` and its digest printed, one line per run:
 
     <net> <configuration> <sha256>
 
-Training is deterministic, so two runs of one checkout print the same 18
+The command-line leg generates the built-in ``glyphs`` set in a temporary
+directory and runs ``ibpnet.cli.main`` with the flags in ``CLI_RUNS``: a
+preset run with flag overrides and augmentation, and a two-value beta grid.
+It prints one line per model and CSV the commands write:
+
+    cli <file name> <sha256>
+
+Training is deterministic, so two runs of one checkout print the same 24
 lines, and two checkouts print the same lines exactly when they train the
-same model bytes. Compare a change against its parent with
+same bytes. Compare a change against its parent with
 
     PYTHONPATH=src python3 tools/model_digests.py > after.txt
     (in a checkout of the parent, the same command > before.txt)
@@ -20,12 +28,15 @@ same model bytes. Compare a change against its parent with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import tempfile
 
 import numpy as np
 
+from ibpnet.cli import main as cli_main
 from ibpnet.presets import build_net
 from ibpnet.tangents import dataset_tangents
 from ibpnet.training import TrainConfig, fit
@@ -42,6 +53,12 @@ CONFIGS = {
     "at": dict(algo="at", epsilon=0.1),
     "fast-at": dict(algo="fast-at", epsilon=0.1),
 }
+CLI_RUNS = (
+    ("--preset", "mnist-tiny", "--dataset", "glyphs", "--subset-size", "100",
+     "--epochs", "1", "--lr", "0.05", "--augment"),
+    ("--dataset", "glyphs", "--subset-size", "100", "--epochs", "1",
+     "--algo", "loss-ibp", "--beta-grid", "0,0.1", "--r", "2"),
+)
 N_IMAGES = 64
 SEED = 0
 
@@ -52,6 +69,11 @@ def training_set():
     x = rng.random((N_IMAGES, 1, 28, 28))
     labels = np.eye(10)[rng.integers(0, 10, size=N_IMAGES)]
     return x, labels, dataset_tangents(x, sigma=0.9)
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def digests():
@@ -66,11 +88,28 @@ def digests():
                 fit(net, x, labels, cfg, tangents=tangents)
                 path = os.path.join(tmp, f"{name}-{label}.ibpnet")
                 net.save(path)
-                with open(path, "rb") as fh:
-                    out.append((name, label, hashlib.sha256(fh.read()).hexdigest()))
+                out.append((name, label, sha256(path)))
+    return out
+
+
+def cli_digests():
+    """[("cli", file name, sha256)] of every model and CSV that the
+    CLI_RUNS commands write, by file name."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = os.path.join(tmp, "runs")
+        for flags in CLI_RUNS:
+            # the epoch log carries wall times, so it is not printed
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["train", *flags, "--data-dir", tmp, "--out", runs])
+            if code != 0:
+                raise SystemExit(f"ibpnet train {' '.join(flags)} exited {code}")
+        for fname in sorted(os.listdir(runs)):
+            if fname.endswith((".ibpnet", ".csv")):
+                out.append(("cli", fname, sha256(os.path.join(runs, fname))))
     return out
 
 
 if __name__ == "__main__":
-    for name, label, digest in digests():
+    for name, label, digest in digests() + cli_digests():
         print(name, label, digest)
