@@ -4,7 +4,9 @@ For each image the five tangents (x shift, y shift, x scaling, y scaling,
 rotation) are first-order directional derivatives of the pixel values under
 the transformation, computed from central-difference gradients of a
 Gaussian-smoothed copy. Coordinates are centered on the image so scaling and
-rotation act about the center.
+rotation act about the center. A dataset's tangents are built in fixed-size
+blocks of images straight into the result, so peak memory is about the
+result's size; the bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import ConfigError
 
 TANGENT_NAMES = ("shift-x", "shift-y", "scale-x", "scale-y", "rotation")
+_TANGENT_BLOCK_BYTES = 1 << 20  # tangents of one block of images
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -28,23 +31,47 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _smooth_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(a, axis, -1)
-    n = moved.shape[-1]
-    radius = len(kernel) // 2
-    pad = [(0, 0)] * (moved.ndim - 1) + [(radius, radius)]
-    padded = np.pad(moved, pad)
-    out = np.zeros_like(moved)
-    for j, kj in enumerate(kernel):
-        out += kj * padded[..., j:j + n]
-    return np.moveaxis(out, -1, axis)
+def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Blur of img (..., H, W) along x then y, zero-padded: a view into a padded buffer."""
+    # Each pass runs on the flat buffer, so a tap is one long vector operation
+    # and the stride picks the axis. Sums that reach across a row or an image
+    # land only in the padding, which nothing reads; the rest add the same
+    # taps in the same order from +0.0 as a per-row convolution would.
+    k = gaussian_kernel1d(sigma)
+    r = len(k) // 2
+    h, w = img.shape[-2:]
+    a = np.zeros(img.shape[:-2] + (h + 2 * r, w + 2 * r))
+    a[..., r:r + h, r:r + w] = img
+    b = np.zeros_like(a)
+    for src, dst, stride in ((a.ravel(), b.ravel(), 1), (b.ravel(), a.ravel(), w + 2 * r)):
+        n = max(0, src.size - 2 * r * stride)
+        res, part = dst[r * stride:r * stride + n], np.empty(n)
+        res.fill(0.0)
+        for j, kj in enumerate(k):
+            res += np.multiply(src[j * stride:j * stride + n], kj, out=part)
+    return a[..., r:r + h, r:r + w]
 
 
 def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur over the trailing two axes, zero-padded borders."""
-    img = np.asarray(img, dtype=np.float64)
-    k = gaussian_kernel1d(sigma)
-    return _smooth_axis(_smooth_axis(img, k, -1), k, -2)
+    return _blur(np.asarray(img, dtype=np.float64), sigma).copy()
+
+
+def _fill_tangents(img: np.ndarray, sigma: float, normalize: bool, out: np.ndarray) -> np.ndarray:
+    """Write the tangents of img (..., H, W) into out (..., 5, H, W) and return out."""
+    gx, gy = np.gradient(_blur(img, sigma), axis=(-1, -2))
+    h, w = img.shape[-2:]
+    dx = (np.arange(w, dtype=np.float64) - (w - 1) / 2.0)[None, :]
+    dy = (np.arange(h, dtype=np.float64) - (h - 1) / 2.0)[:, None]
+    out[..., 0, :, :], out[..., 1, :, :] = gx, gy
+    np.multiply(dx, gx, out=out[..., 2, :, :])
+    np.multiply(dy, gy, out=out[..., 3, :, :])
+    rot = np.multiply(dy, gx, out=out[..., 4, :, :])
+    rot -= dx * gy
+    if normalize:
+        norms = np.linalg.norm(out.reshape(*out.shape[:-2], -1), axis=-1)
+        out /= np.where(norms > 0, norms, 1.0)[..., None, None]
+    return out
 
 
 def tangent_vectors(img: np.ndarray, sigma: float, normalize: bool = False) -> np.ndarray:
@@ -55,31 +82,23 @@ def tangent_vectors(img: np.ndarray, sigma: float, normalize: bool = False) -> n
     (zero tangents stay zero).
     """
     img = np.asarray(img, dtype=np.float64)
-    smoothed = gaussian_smooth(img, sigma)
-    gx = np.gradient(smoothed, axis=-1)
-    gy = np.gradient(smoothed, axis=-2)
-    h, w = img.shape[-2:]
-    xs = np.arange(w, dtype=np.float64) - (w - 1) / 2.0
-    ys = np.arange(h, dtype=np.float64) - (h - 1) / 2.0
-    dx = xs[None, :]
-    dy = ys[:, None]
-    tangents = np.stack(
-        [gx, gy, dx * gx, dy * gy, dy * gx - dx * gy], axis=-3
-    )
-    if normalize:
-        flat = tangents.reshape(*tangents.shape[:-2], -1)
-        norms = np.linalg.norm(flat, axis=-1)
-        flat /= np.where(norms > 0, norms, 1.0)[..., None]
-    return tangents
+    return _fill_tangents(img, sigma, normalize, np.empty(img.shape[:-2] + (5,) + img.shape[-2:]))
 
 
 def dataset_tangents(x: np.ndarray, sigma: float, normalize: bool = False) -> np.ndarray:
-    """Tangents for a dataset (N, C, H, W) -> (N, 5, C, H, W)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Tangents for a dataset (N, C, H, W) -> (N, 5, C, H, W), float64."""
+    x = np.asarray(x)
     if x.ndim != 4:
         raise ConfigError(f"dataset_tangents expects (N,C,H,W), got {x.shape}")
-    t = tangent_vectors(x, sigma, normalize=normalize)  # (N, C, 5, H, W)
-    return np.ascontiguousarray(t.transpose(0, 2, 1, 3, 4))
+    t = np.empty((x.shape[0], 5) + x.shape[1:])
+    # blocks whose tangents fit _TANGENT_BLOCK_BYTES; each image goes through the
+    # same operations in the same order at any block size, so the bytes equal
+    # tangent_vectors' image by image
+    step = max(1, _TANGENT_BLOCK_BYTES // max(t[:1].nbytes, 1))
+    for lo in range(0, x.shape[0], step):
+        _fill_tangents(np.asarray(x[lo:lo + step], dtype=np.float64), sigma, normalize,
+                       np.moveaxis(t[lo:lo + step], 1, -3))
+    return t
 
 
 def load_or_build_tangents(x: np.ndarray, sigma: float, normalize: bool = False) -> np.ndarray:

@@ -134,18 +134,19 @@ def _top_index(net: Network) -> int:
 
 def _forward_loss(net: Network, x, labels, cfg: TrainConfig, train: bool = True):
     """Forward pass and loss seed, no backward. Returns (L, seed, top_index)."""
-    return _loss_seed(net, net.forward(x, train=train), labels, cfg)
+    return _loss_seed(net, net.forward(x, train=train), labels, cfg.algo)
 
 
-def _loss_seed(net: Network, out, labels, cfg: TrainConfig):
-    """Loss and backward seed at the network output out. Returns (L, seed, top_index)."""
+def _loss_seed(net: Network, out, labels, caller: str):
+    """Loss and backward seed at the network output out; caller names the
+    computation in an error. Returns (L, seed, top_index)."""
     top = _top_index(net)
     if top < len(net.layers):
         loss, seed = nll_from_probs(out, labels)
     else:
         loss, seed = nll_softmax_loss(out, labels)
     if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss} in {cfg.algo} step")
+        raise NumericError(f"non-finite loss {loss} in {caller}")
     return loss, seed, top
 
 
@@ -341,12 +342,11 @@ def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
     """Loss gradient with respect to the inputs, evaluated with the network
     in inference mode (dropout off) and without writing any gradient
     buffers. labels must be one-hot. Returns (grad, network output at x)."""
-    cfg = TrainConfig(algo="bp")
     grads, outs = [], []
     for lo in range(0, x.shape[0], batch_size):
         sl = slice(lo, lo + batch_size)
         outs.append(net.forward(x[sl], train=False))
-        _, seed, top = _loss_seed(net, outs[-1], labels[sl], cfg)
+        _, seed, top = _loss_seed(net, outs[-1], labels[sl], "input_gradient")
         dy0 = net.vjp_linear(seed, upto=top)
         # undo the batch-mean factor so each row is that sample's own gradient
         grads.append(dy0 * dy0.shape[0])

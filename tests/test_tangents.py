@@ -5,9 +5,12 @@ warps: ramp images make bilinear resampling exact, so shift tangents match to
 rounding and scale/rotation residuals shrink linearly with the warp size.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ibpnet import tangents
 from ibpnet.datasets import affine_sample
 from ibpnet.errors import ConfigError
 from ibpnet.tangents import (
@@ -41,6 +44,26 @@ def warp_fd(img, k, d):
 def centered_ramp(h, w, a, b, c):
     ys, xs = np.indices((h, w), dtype=np.float64)
     return a + b * (xs - (w - 1) / 2.0) + c * (ys - (h - 1) / 2.0)
+
+
+def plain_tangents(img, sigma):
+    """The tangents by the plain formula: np.pad, one temporary per tap,
+    np.gradient and np.stack."""
+    k = gaussian_kernel1d(sigma)
+    r = len(k) // 2
+    smoothed = img
+    for axis in (-1, -2):
+        moved = np.moveaxis(smoothed, axis, -1)
+        padded = np.pad(moved, [(0, 0)] * (moved.ndim - 1) + [(r, r)])
+        acc = np.zeros_like(moved)
+        for j, kj in enumerate(k):
+            acc += kj * padded[..., j:j + moved.shape[-1]]
+        smoothed = np.moveaxis(acc, -1, axis)
+    gx, gy = np.gradient(smoothed, axis=-1), np.gradient(smoothed, axis=-2)
+    h, w = img.shape[-2:]
+    dx = (np.arange(w, dtype=np.float64) - (w - 1) / 2.0)[None, :]
+    dy = (np.arange(h, dtype=np.float64) - (h - 1) / 2.0)[:, None]
+    return np.stack([gx, gy, dx * gx, dy * gy, dy * gx - dx * gy], axis=-3)
 
 
 class TestKernel:
@@ -86,6 +109,7 @@ class TestTangentVectors:
         assert len(TANGENT_NAMES) == 5
         batched = tangent_vectors(rng.normal(size=(3, 2, 12, 10)), 0.9)
         assert batched.shape == (3, 2, 5, 12, 10)
+        assert tangent_vectors(np.zeros((0, 12, 10)), 0.9).shape == (0, 5, 12, 10)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -119,6 +143,16 @@ class TestTangentVectors:
         rot = np.abs(t[4][5:-5, 5:-5]).max()
         shift = np.abs(t[0][5:-5, 5:-5]).max()
         assert rot < 0.01 * shift
+
+    @pytest.mark.parametrize("shape,sigma", [((3, 2, 12, 10), 0.9), ((2, 5, 4), 0.9),
+                                             ((3, 9, 7), 2.5)])
+    def test_bytes_of_the_plain_formula(self, shape, sigma):
+        # the blur runs on flat padded buffers; the same taps in the same
+        # order give the same bytes, also at -0.0 pixels and with a kernel
+        # wider than the image
+        img = np.random.default_rng(6).normal(size=shape)
+        img[0, ..., :2, :] = -0.0
+        assert tangent_vectors(img, sigma).tobytes() == plain_tangents(img, sigma).tobytes()
 
     def test_normalize_flag(self):
         rng = np.random.default_rng(3)
@@ -170,15 +204,38 @@ class TestDatasetTangents:
         assert t.shape == (3, 5, 2, 9, 9)
         single = tangent_vectors(x[1], 0.9)  # (C, 5, H, W)
         np.testing.assert_array_equal(t[1], single.transpose(1, 0, 2, 3))
+        assert dataset_tangents(np.zeros((0, 2, 9, 9)), 0.9).shape == (0, 5, 2, 9, 9)
 
     def test_rejects_non_4d(self):
         with pytest.raises(ConfigError):
             dataset_tangents(np.zeros((3, 9, 9)), 0.9)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)])
+    def test_blocks_give_the_bytes_of_per_image_tangents(self, shape, normalize):
+        # two full blocks and a short one
+        step = tangents._TANGENT_BLOCK_BYTES // (5 * int(np.prod(shape)) * 8)
+        assert step > 1
+        x = np.random.default_rng(6).random((2 * step + 3,) + shape)
+        t = dataset_tangents(x, 0.9, normalize)
+        for i in range(x.shape[0]):
+            single = tangent_vectors(x[i], 0.9, normalize).transpose(1, 0, 2, 3)
+            assert t[i].tobytes() == np.ascontiguousarray(single).tobytes()
 
-class TestCache:
-    def test_no_cache_dir_builds_directly(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 1, 9, 9))
-        np.testing.assert_array_equal(load_or_build_tangents(x, 0.9),
-                                      dataset_tangents(x, 0.9))
+    def test_peak_memory_is_about_the_result(self):
+        x = np.random.default_rng(7).random((512, 1, 28, 28))
+        tracemalloc.start()
+        try:
+            t = dataset_tangents(x, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * t.nbytes
+
+
+class TestLoadOrBuild:
+    def test_same_bytes_as_dataset_tangents(self):
+        x = np.random.default_rng(8).normal(size=(2, 1, 9, 9))
+        for normalize in (False, True):
+            assert (load_or_build_tangents(x, 0.9, normalize).tobytes()
+                    == dataset_tangents(x, 0.9, normalize).tobytes())

@@ -4,7 +4,7 @@ settings that must reproduce plain backpropagation, and fit() determinism."""
 import numpy as np
 import pytest
 
-from ibpnet.errors import ConfigError
+from ibpnet.errors import ConfigError, NumericError
 from ibpnet.gradcheck import rel_error
 from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network, batched_forward
@@ -443,6 +443,18 @@ class TestInputGradient:
             flat[i] = old
             np.testing.assert_allclose(g.reshape(-1)[i], (up - dn) / (2 * h),
                                        rtol=0, atol=1e-8)
+
+    def test_non_finite_loss_names_input_gradient(self):
+        # finite logits of +-1e308 overflow when the loss subtracts their max.
+        # Float32 logits cannot: the loss runs in float64, where +-3e38 is small.
+        fc = FullyConnected(1, 2, np.random.default_rng(0))
+        fc.w[...] = [[1e308, -1e308]]
+        net = Network([fc])
+        x, labels = np.ones((2, 1)), np.eye(2)
+        assert np.isfinite(net.forward(x)).all()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="in input_gradient"):
+            input_gradient(net, x, labels)
 
 
 class TestErrorRate:
