@@ -1,10 +1,12 @@
-"""Dataset loading (IDX images/labels, CIFAR-10 binary batches), pixel
-normalization, class-stratified subsets, the random affine augmentation,
-and two built-in MNIST stand-ins written as IDX files: `glyphs` (stroke
-digits generated with NumPy alone) and `digits` (scikit-learn's bundled
-8x8 digits, upsampled).
+"""Dataset loading, pixel normalization, class-stratified subsets, the
+random affine augmentation, and two built-in MNIST stand-ins written as IDX
+files: `glyphs` (stroke digits generated with NumPy alone) and `digits`
+(scikit-learn's bundled 8x8 digits, upsampled).
 
-Pixels are scaled to [0, 1] and the mean pixel of the training split is
+Every file goes through one IDX codec (`read_idx`, `write_idx`; the rank
+picks the magic) or the CIFAR-10 batch reader, and every split becomes a
+`Dataset` in one place: label bytes outside 0-9 are a `FormatError`, pixels
+are scaled to [0, 1] and the mean pixel of the training split is
 subtracted; the same mean is reused for the test split.
 
 Augmentation (`augment_batch`) draws a fresh transform for every image of a
@@ -12,11 +14,10 @@ batch: scale, then rotate, then shift, all about the image center. The draws
 come from the generator passed in (`ibpnet train --augment` passes
 `rng_stream(seed, "augment")`) as one (N, 5) uniform array, per image in the
 order scale x, scale y, degrees, shift x, shift y. The whole batch is then
-resampled bilinearly in one gather, with zero fill outside the source. tbp
+resampled bilinearly in one gather; taps outside the source read 0. tbp
 and fast-tbp still penalize the tangents of the unwarped images, not of the
 warped batch they train on, so augmented tbp results carry that caveat.
 """
-
 from __future__ import annotations
 
 import math
@@ -29,9 +30,15 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .tensor import rng_stream
 
-IDX_IMAGES_MAGIC = 2051
-IDX_LABELS_MAGIC = 2049
+CLASSES = 10  # every dataset here has ten classes
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+# standard IDX file names, shared by mnist and both built-in stand-ins
+MNIST_FILES = (
+    "train-images-idx3-ubyte",
+    "train-labels-idx1-ubyte",
+    "t10k-images-idx3-ubyte",
+    "t10k-labels-idx1-ubyte",
+)
 
 
 @dataclass
@@ -68,76 +75,58 @@ def denormalize(images: np.ndarray, mean_pixel: float) -> np.ndarray:
     return images + mean_pixel
 
 
+def _split(pixels: np.ndarray, labels: np.ndarray, mean_pixel: float | None) -> Dataset:
+    """uint8 pixels (N, C, H, W) and label bytes (N,) as a normalized Dataset;
+    mean_pixel None takes the split's own mean."""
+    bad = labels[labels >= CLASSES]
+    if bad.size:
+        raise FormatError(f"label byte {bad[0]} out of range for {CLASSES} classes")
+    raw = pixels.astype(np.float64) / 255.0
+    if mean_pixel is None:
+        mean_pixel = float(raw.mean())
+    return Dataset(normalize(raw, mean_pixel), one_hot(labels, CLASSES), mean_pixel)
+
+
 # ---------------------------------------------------------------------------
-# IDX (big-endian) image/label files
+# IDX (big-endian) files: magic 0x800 | rank, then rank unsigned extents
 # ---------------------------------------------------------------------------
 
-def read_idx_images(path) -> np.ndarray:
-    """(N, H, W) uint8 array from an IDX image file."""
+def read_idx(path, rank: int) -> np.ndarray:
+    """uint8 array of the given rank (3 for images, 1 for labels) from an
+    IDX file."""
+    expected = 0x800 | rank
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise FormatError(f"{path}: truncated IDX image header")
-        magic, n, rows, cols = struct.unpack(">iiii", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(
-                f"{path}: bad magic {magic} at offset 0 (expected {IDX_IMAGES_MAGIC})"
-            )
+        head = fh.read(4 * (rank + 1))
+        if len(head) < 4 * (rank + 1):
+            raise FormatError(f"{path}: truncated IDX header")
+        magic, *shape = struct.unpack(f">{rank + 1}I", head)
+        if magic != expected:
+            raise FormatError(f"{path}: bad magic {magic} at offset 0 (expected {expected})")
         body = fh.read()
-    if len(body) != n * rows * cols:
-        raise FormatError(f"{path}: expected {n * rows * cols} pixel bytes, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(n, rows, cols)
+    if len(body) != math.prod(shape):
+        raise FormatError(f"{path}: expected {math.prod(shape)} data bytes, got {len(body)}")
+    return np.frombuffer(body, dtype=np.uint8).reshape(shape)
 
 
-def read_idx_labels(path) -> np.ndarray:
-    """(N,) uint8 label array from an IDX label file."""
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise FormatError(f"{path}: truncated IDX label header")
-        magic, n = struct.unpack(">ii", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(
-                f"{path}: bad magic {magic} at offset 0 (expected {IDX_LABELS_MAGIC})"
-            )
-        body = fh.read()
-    if len(body) != n:
-        raise FormatError(f"{path}: expected {n} label bytes, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).copy()
-
-
-def write_idx_images(path, images: np.ndarray):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
+def write_idx(path, array: np.ndarray):
+    """array as uint8 in an IDX file of its rank."""
+    array = np.asarray(array, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
+        fh.write(struct.pack(f">{array.ndim + 1}I", 0x800 | array.ndim, *array.shape))
+        fh.write(array.tobytes())
 
 
-def write_idx_labels(path, labels: np.ndarray):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", IDX_LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
-def load_mnist(images_path, labels_path, mean_pixel: float | None = None,
-               num_classes: int = 10) -> Dataset:
+def load_mnist(images_path, labels_path, mean_pixel: float | None = None) -> Dataset:
     """One split of an IDX image/label pair as a normalized Dataset.
 
     mean_pixel, when given, reuses a training-split mean for this split;
     otherwise the split's own mean is used.
     """
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+    images = read_idx(images_path, 3)
+    labels = read_idx(labels_path, 1)
     if images.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
-        )
-    raw = images.astype(np.float64)[:, None, :, :] / 255.0
-    if mean_pixel is None:
-        mean_pixel = float(raw.mean())
-    return Dataset(normalize(raw, mean_pixel), one_hot(labels, num_classes), mean_pixel)
+        raise FormatError(f"count mismatch: {len(images)} images vs {len(labels)} labels")
+    return _split(images[:, None], labels, mean_pixel)
 
 
 def load_cifar10(batch_paths, mean_pixel: float | None = None) -> Dataset:
@@ -145,24 +134,15 @@ def load_cifar10(batch_paths, mean_pixel: float | None = None) -> Dataset:
     bytes in channel-planar (R, G, B) order."""
     if isinstance(batch_paths, (str, os.PathLike)):
         batch_paths = [batch_paths]
-    images, labels = [], []
+    records = []
     for path in batch_paths:
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) == 0 or len(blob) % CIFAR_RECORD:
-            raise FormatError(
-                f"{path}: length {len(blob)} is not a multiple of {CIFAR_RECORD}"
-            )
-        rec = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        labels.append(rec[:, 0].copy())
-        images.append(rec[:, 1:].reshape(-1, 3, 32, 32).copy())
-    raw = np.concatenate(images).astype(np.float64) / 255.0
-    y = np.concatenate(labels)
-    if y.max() > 9:
-        raise FormatError(f"label byte {y.max()} out of range for 10 classes")
-    if mean_pixel is None:
-        mean_pixel = float(raw.mean())
-    return Dataset(normalize(raw, mean_pixel), one_hot(y, 10), mean_pixel)
+            raise FormatError(f"{path}: length {len(blob)} is not a multiple of {CIFAR_RECORD}")
+        records.append(np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD))
+    rec = np.concatenate(records)
+    return _split(rec[:, 1:].reshape(-1, 3, 32, 32), rec[:, 0], mean_pixel)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +180,6 @@ class AugmentSpec:
     shift: tuple = (-2.0, 2.0)      # pixels, per axis
     scale: tuple = (0.7, 1.4)       # factor, per axis
     rotation: tuple = (-18.0, 18.0)  # degrees
-    fill: float = 0.0
 
     def __post_init__(self):
         for name in ("shift", "scale", "rotation"):
@@ -211,15 +190,13 @@ class AugmentSpec:
             raise ConfigError(f"augment scale must be positive: {tuple(self.scale)}")
 
 
-def bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    fill: float = 0.0) -> np.ndarray:
+def bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample each image of imgs (N, C, H, W) at its own fractional
-    (rows, cols), both (N, ...), in one gather; out-of-bounds taps read the
-    fill value."""
+    (rows, cols), both (N, ...), in one gather; out-of-bounds taps read 0."""
     n, c, h, w = imgs.shape
-    # channels last inside a one-pixel border of fill: clipped to the border,
-    # every tap off the image reads the fill value
-    pad = np.full((n, h + 2, w + 2, c), fill)
+    # channels last inside a one-pixel border of zeros: clipped to the
+    # border, every tap off the image reads 0
+    pad = np.zeros((n, h + 2, w + 2, c))
     pad[:, 1:-1, 1:-1] = imgs.transpose(0, 2, 3, 1)
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
@@ -237,8 +214,7 @@ def bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return acc
 
 
-def _affine_batch(x: np.ndarray, matrices: np.ndarray, offsets: np.ndarray,
-                  fill: float) -> np.ndarray:
+def _affine_batch(x: np.ndarray, matrices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Resample each image of x (N, C, H, W) under its forward map
     p' = matrices[i] @ p + offsets[i] about the image center, where
     p = (x, y) in centered pixel coordinates."""
@@ -251,16 +227,15 @@ def _affine_batch(x: np.ndarray, matrices: np.ndarray, offsets: np.ndarray,
     dy = gy - offsets[:, 1, None, None]
     sx = inv[:, 0, 0] * dx + inv[:, 0, 1] * dy
     sy = inv[:, 1, 0] * dx + inv[:, 1, 1] * dy
-    return bilinear_sample(x, sy + cy, sx + cx, fill)
+    return bilinear_sample(x, sy + cy, sx + cx)
 
 
-def affine_sample(img: np.ndarray, matrix: np.ndarray, offset,
-                  fill: float = 0.0) -> np.ndarray:
+def affine_sample(img: np.ndarray, matrix: np.ndarray, offset) -> np.ndarray:
     """Resample img (C, H, W) under the forward map p' = matrix @ p + offset
     about the image center, where p = (x, y) in centered pixel coordinates."""
     img = np.asarray(img, dtype=np.float64)
     return _affine_batch(img[None], np.asarray(matrix, dtype=np.float64)[None],
-                         np.asarray(offset, dtype=np.float64)[None], fill)[0]
+                         np.asarray(offset, dtype=np.float64)[None])[0]
 
 
 def _scale_rotate_matrices(sx, sy, degrees) -> np.ndarray:
@@ -286,19 +261,27 @@ def augment_batch(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) ->
     lo, hi = np.transpose([spec.scale, spec.scale, spec.rotation, spec.shift, spec.shift])
     p = rng.uniform(lo, hi, size=(x.shape[0], 5))
     matrices = _scale_rotate_matrices(p[:, 0], p[:, 1], p[:, 2])
-    return _affine_batch(x, matrices, p[:, 3:], spec.fill)
+    return _affine_batch(x, matrices, p[:, 3:])
 
 
 # ---------------------------------------------------------------------------
-# Built-in small digit set (MNIST stand-in when no IDX files are available)
+# Built-in MNIST stand-ins: scikit-learn's small digit set, then the glyphs
 # ---------------------------------------------------------------------------
 
-DIGITS_FILES = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
+_DIGITS_TRAIN_PER_CLASS = 150  # 1500 training images, the other 297 test
+
+
+def _write_splits(folder: str, make) -> dict:
+    """The four MNIST_FILES paths under folder, keyed by file name. Unless all
+    four exist, make() gives their arrays (train images, train labels, test
+    images, test labels) and they are written."""
+    paths = {name: os.path.join(folder, name) for name in MNIST_FILES}
+    if not all(os.path.exists(p) for p in paths.values()):
+        arrays = make()
+        os.makedirs(folder, exist_ok=True)
+        for name, array in zip(MNIST_FILES, arrays):
+            write_idx(paths[name], array)
+    return paths
 
 
 def _upsample(img8: np.ndarray, size: int = 28) -> np.ndarray:
@@ -309,17 +292,7 @@ def _upsample(img8: np.ndarray, size: int = 28) -> np.ndarray:
     return bilinear_sample(src, rows[None], cols[None])[0, 0]
 
 
-def ensure_builtin_digits(root: str, train_count: int = 1500) -> dict:
-    """Write the built-in 1797-image digit set (upsampled to 28x28) as IDX
-    files under root, if not already present. Returns the four file paths
-    keyed like MNIST_FILES entries.
-
-    The images come from scikit-learn's bundled digits; install the
-    'digits' extra to use this path.
-    """
-    paths = {name: os.path.join(root, name) for name in DIGITS_FILES}
-    if all(os.path.exists(p) for p in paths.values()):
-        return paths
+def _digits_splits() -> tuple:
     try:
         from sklearn.datasets import load_digits
     except ImportError as exc:
@@ -329,25 +302,27 @@ def ensure_builtin_digits(root: str, train_count: int = 1500) -> dict:
     bunch = load_digits()
     imgs = bunch.images / 16.0  # source values are 0..16
     labels = bunch.target.astype(np.uint8)
-    # deterministic class-balanced split: per class, the first per_class
-    # samples in file order go to the training split
+    # deterministic class-balanced split: per class, the first samples in
+    # file order go to the training split
     ranks = np.empty(labels.shape[0], dtype=np.int64)
-    for c in range(10):
+    for c in range(CLASSES):
         pool = np.flatnonzero(labels == c)
         ranks[pool] = np.arange(pool.size)
-    per_class = train_count // 10
-    train_mask = ranks < per_class
+    train_mask = ranks < _DIGITS_TRAIN_PER_CLASS
     big = np.stack([_upsample(im) for im in imgs])
     big = np.clip(np.rint(big * 255.0), 0, 255).astype(np.uint8)
-    os.makedirs(root, exist_ok=True)
-    write_idx_images(paths[DIGITS_FILES[0]], big[train_mask])
-    write_idx_labels(paths[DIGITS_FILES[1]], labels[train_mask])
-    write_idx_images(paths[DIGITS_FILES[2]], big[~train_mask])
-    write_idx_labels(paths[DIGITS_FILES[3]], labels[~train_mask])
-    return paths
+    return big[train_mask], labels[train_mask], big[~train_mask], labels[~train_mask]
 
 
-MNIST_FILES = DIGITS_FILES  # standard IDX file names shared by all IDX sources
+def ensure_builtin_digits(root: str) -> dict:
+    """Write the built-in 1797-image digit set (upsampled to 28x28) as IDX
+    files under root, if not already present. Returns the four file paths
+    keyed by MNIST_FILES entries.
+
+    The images come from scikit-learn's bundled digits; install the
+    'digits' extra to use this path.
+    """
+    return _write_splits(root, _digits_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +422,17 @@ def _glyph_split(per_class: int, tag: str) -> tuple:
 
 def ensure_builtin_glyphs(root: str) -> dict:
     """Write the built-in glyph set as IDX files under root/glyphs, if not
-    already present. Returns the four file paths keyed like MNIST_FILES.
+    already present. Returns the four file paths keyed by MNIST_FILES entries.
 
     Ten stroke digits (polylines and arcs), each sample under its own random
     per-axis scale, rotation and shift (the transformations the tangents
     model), stroke width and pixel noise: 2000 train / 500 test images,
     28x28, labels tiled 0-9. Needs only NumPy; the same bytes every time.
     """
-    folder = os.path.join(root, GLYPHS_SUBDIR)
-    paths = {name: os.path.join(folder, name) for name in MNIST_FILES}
-    if all(os.path.exists(p) for p in paths.values()):
-        return paths
-    os.makedirs(folder, exist_ok=True)
-    for (img_name, lbl_name), per_class, tag in (
-        (MNIST_FILES[:2], _GLYPH_TRAIN_PER_CLASS, "glyphs/train"),
-        (MNIST_FILES[2:], _GLYPH_TEST_PER_CLASS, "glyphs/test"),
-    ):
-        images, labels = _glyph_split(per_class, tag)
-        write_idx_images(paths[img_name], images)
-        write_idx_labels(paths[lbl_name], labels)
-    return paths
+    return _write_splits(
+        os.path.join(root, GLYPHS_SUBDIR),
+        lambda: (_glyph_split(_GLYPH_TRAIN_PER_CLASS, "glyphs/train")
+                 + _glyph_split(_GLYPH_TEST_PER_CLASS, "glyphs/test")))
 
 
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))

@@ -350,6 +350,8 @@ def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
         dy0 = net.vjp_linear(seed, upto=top)
         # undo the batch-mean factor so each row is that sample's own gradient
         grads.append(dy0 * dy0.shape[0])
+        if not np.isfinite(grads[-1]).all():
+            raise NumericError("non-finite input gradient in input_gradient")
     return np.concatenate(grads, axis=0), np.concatenate(outs, axis=0)
 
 

@@ -3,6 +3,7 @@ degenerate-settings equivalences visible through the CSV curves."""
 
 import json
 import os
+import struct
 from dataclasses import asdict, fields
 
 import pytest
@@ -136,6 +137,19 @@ class TestTrain:
                 "--out", str(tmp_path)]
         assert main(args) == 2
         assert "missing dataset files" in capsys.readouterr().err
+
+    def test_bad_label_byte_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for split, labels in (("train", [0, 12, 1, 2]), ("t10k", [0, 1, 2, 3])):
+            (data / f"{split}-images-idx3-ubyte").write_bytes(
+                struct.pack(">iiii", 2051, 4, 28, 28) + bytes(4 * 28 * 28))
+            (data / f"{split}-labels-idx1-ubyte").write_bytes(
+                struct.pack(">ii", 2049, 4) + bytes(labels))
+        args = ["train", "--dataset", "mnist", "--data-dir", str(data),
+                "--out", str(tmp_path / "runs")]
+        assert main(args) == 2
+        assert "label byte 12 out of range" in capsys.readouterr().err
 
     def test_unknown_algo_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

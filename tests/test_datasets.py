@@ -4,6 +4,7 @@ subsets, the affine augmentation, and the built-in digit and glyph files."""
 import hashlib
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from ibpnet.datasets import (
     AugmentSpec,
     CIFAR_RECORD,
-    DIGITS_FILES,
     GLYPHS_SUBDIR,
     MNIST_FILES,
     Dataset,
@@ -26,11 +26,9 @@ from ibpnet.datasets import (
     load_split_pair,
     normalize,
     one_hot,
-    read_idx_images,
-    read_idx_labels,
+    read_idx,
     subset,
-    write_idx_images,
-    write_idx_labels,
+    write_idx,
 )
 from ibpnet.errors import ConfigError, FormatError
 
@@ -47,50 +45,65 @@ class TestIdx:
         rng = np.random.default_rng(0)
         imgs = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
         path = tmp_path / "imgs"
-        write_idx_images(path, imgs)
-        np.testing.assert_array_equal(read_idx_images(path), imgs)
+        write_idx(path, imgs)
+        assert path.read_bytes()[:16] == struct.pack(">iiii", 2051, 5, 4, 3)
+        np.testing.assert_array_equal(read_idx(path, 3), imgs)
 
     def test_label_roundtrip(self, tmp_path):
         labels = np.array([0, 9, 3, 7], dtype=np.uint8)
         path = tmp_path / "labels"
-        write_idx_labels(path, labels)
-        np.testing.assert_array_equal(read_idx_labels(path), labels)
+        write_idx(path, labels)
+        assert path.read_bytes()[:8] == struct.pack(">ii", 2049, 4)
+        np.testing.assert_array_equal(read_idx(path, 1), labels)
 
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "imgs"
-        import struct
         path.write_bytes(struct.pack(">iiii", 1234, 1, 2, 2) + bytes(4))
-        with pytest.raises(FormatError, match="bad magic 1234 at offset 0"):
-            read_idx_images(path)
-        with pytest.raises(FormatError, match="bad magic"):
-            read_idx_labels(path)
+        with pytest.raises(FormatError, match=r"bad magic 1234 at offset 0 \(expected 2051\)"):
+            read_idx(path, 3)
+        with pytest.raises(FormatError, match=r"bad magic 1234 at offset 0 \(expected 2049\)"):
+            read_idx(path, 1)
+
+    def test_rank_mismatch_is_bad_magic(self, tmp_path):
+        write_idx(tmp_path / "labels", np.zeros(8, dtype=np.uint8))
+        with pytest.raises(FormatError, match="bad magic 2049"):
+            read_idx(tmp_path / "labels", 3)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "imgs"
         path.write_bytes(b"\x00\x00")
         with pytest.raises(FormatError, match="truncated"):
-            read_idx_images(path)
+            read_idx(path, 3)
         with pytest.raises(FormatError, match="truncated"):
-            read_idx_labels(path)
+            read_idx(path, 1)
 
     def test_truncated_body(self, tmp_path):
         imgs = np.zeros((2, 3, 3), dtype=np.uint8)
         path = tmp_path / "imgs"
-        write_idx_images(path, imgs)
+        write_idx(path, imgs)
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(FormatError, match="expected 18 pixel bytes, got 17"):
-            read_idx_images(path)
+        with pytest.raises(FormatError, match="expected 18 data bytes, got 17"):
+            read_idx(path, 3)
+
+    def test_negative_extents_are_unsigned(self, tmp_path):
+        # the extents -1, -2 as signed words: read unsigned, they ask for far
+        # more bytes than the body holds
+        path = tmp_path / "imgs"
+        path.write_bytes(struct.pack(">iiii", 2051, 1, -1, -2) + bytes(2))
+        want = (2 ** 32 - 1) * (2 ** 32 - 2)
+        with pytest.raises(FormatError, match=f"expected {want} data bytes, got 2"):
+            read_idx(path, 3)
 
     def test_load_mnist_count_mismatch(self, tmp_path):
-        write_idx_images(tmp_path / "i", np.zeros((3, 2, 2), dtype=np.uint8))
-        write_idx_labels(tmp_path / "l", np.zeros(2, dtype=np.uint8))
+        write_idx(tmp_path / "i", np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx(tmp_path / "l", np.zeros(2, dtype=np.uint8))
         with pytest.raises(FormatError, match="count mismatch"):
             load_mnist(tmp_path / "i", tmp_path / "l")
 
     def test_load_mnist_normalization(self, tmp_path):
         imgs = np.array([[[0, 255]], [[255, 0]]], dtype=np.uint8)
-        write_idx_images(tmp_path / "i", imgs)
-        write_idx_labels(tmp_path / "l", np.array([3, 1], dtype=np.uint8))
+        write_idx(tmp_path / "i", imgs)
+        write_idx(tmp_path / "l", np.array([3, 1], dtype=np.uint8))
         ds = load_mnist(tmp_path / "i", tmp_path / "l")
         assert ds.mean_pixel == 0.5
         assert ds.images.shape == (2, 1, 1, 2)
@@ -99,6 +112,12 @@ class TestIdx:
         # reusing another split's mean shifts instead of re-centering
         ds2 = load_mnist(tmp_path / "i", tmp_path / "l", mean_pixel=0.25)
         np.testing.assert_allclose(ds2.images[0, 0, 0], [-0.25, 0.75], rtol=1e-12)
+
+    def test_load_mnist_label_out_of_range(self, tmp_path):
+        write_idx(tmp_path / "i", np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx(tmp_path / "l", np.array([9, 12, 10], dtype=np.uint8))
+        with pytest.raises(FormatError, match="label byte 12 out of range for 10 classes"):
+            load_mnist(tmp_path / "i", tmp_path / "l")
 
 
 class TestCifar:
@@ -233,7 +252,7 @@ class TestAugment:
 # parameters in turn and resampled by its own bilinear gather. The batched
 # augment_batch must reproduce it bit for bit, with the same generator state.
 
-def ref_bilinear(img, rows, cols, fill=0.0):
+def ref_bilinear(img, rows, cols):
     c, h, w = img.shape
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
@@ -250,7 +269,7 @@ def ref_bilinear(img, rows, cols, fill=0.0):
         cc = c0 + dc
         ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
         vals = img[:, np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)]
-        acc += weight * np.where(ok, vals, fill)
+        acc += weight * np.where(ok, vals, 0.0)
     return acc
 
 
@@ -269,7 +288,7 @@ def ref_augment(img, spec, rng):
                          np.arange(h, dtype=np.float64) - cy)
     src_x = inv[0, 0] * (gx - dx) + inv[0, 1] * (gy - dy)
     src_y = inv[1, 0] * (gx - dx) + inv[1, 1] * (gy - dy)
-    return ref_bilinear(img, src_y + cy, src_x + cx, spec.fill)
+    return ref_bilinear(img, src_y + cy, src_x + cx)
 
 
 class TestAugmentBatchAgainstReference:
@@ -280,8 +299,7 @@ class TestAugmentBatchAgainstReference:
         ((4, 3, 32, 32), AugmentSpec()),
         ((5, 1, 28, 28), AugmentSpec(shift=(2.0, 2.0), scale=(1.0, 1.0),
                                      rotation=(0.0, 0.0))),
-        ((6, 1, 28, 28), AugmentSpec(fill=0.5)),
-    ], ids=["n1", "n32", "n33", "rgb32", "degenerate", "fill"])
+    ], ids=["n1", "n32", "n33", "rgb32", "degenerate"])
     def test_bitwise_with_same_next_draw(self, shape, spec):
         x = np.random.default_rng(11).random(shape) - 0.25
         rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
@@ -301,18 +319,18 @@ class TestAugmentBatchAgainstReference:
 
 class TestBuiltinDigits:
     def test_counts_and_balance(self, digits_dir):
-        train = read_idx_labels(os.path.join(digits_dir, DIGITS_FILES[1]))
-        test = read_idx_labels(os.path.join(digits_dir, DIGITS_FILES[3]))
+        train = read_idx(os.path.join(digits_dir, MNIST_FILES[1]), 1)
+        test = read_idx(os.path.join(digits_dir, MNIST_FILES[3]), 1)
         assert train.shape[0] == 1500
         assert test.shape[0] == 297
         np.testing.assert_array_equal(np.bincount(train), [150] * 10)
-        imgs = read_idx_images(os.path.join(digits_dir, DIGITS_FILES[0]))
+        imgs = read_idx(os.path.join(digits_dir, MNIST_FILES[0]), 3)
         assert imgs.shape == (1500, 28, 28)
 
     def test_idempotent(self, digits_dir):
         def digest():
             h = hashlib.sha256()
-            for name in DIGITS_FILES:
+            for name in MNIST_FILES:
                 with open(os.path.join(digits_dir, name), "rb") as fh:
                     h.update(fh.read())
             return h.hexdigest()
@@ -320,7 +338,7 @@ class TestBuiltinDigits:
         before = digest()
         paths = ensure_builtin_digits(digits_dir)
         assert digest() == before
-        assert set(paths) == set(DIGITS_FILES)
+        assert set(paths) == set(MNIST_FILES)
 
 
 def file_digests(folder) -> dict:
@@ -331,16 +349,28 @@ def file_digests(folder) -> dict:
     return digests
 
 
+GLYPH_DIGESTS = {
+    "train-images-idx3-ubyte": "f4a564b8a9ba02cd161dcc90d04003f5253e251623e06bb0a61e840928ee9b1d",
+    "train-labels-idx1-ubyte": "e026daf3d28b630d395bff264d45247706f43ecba7d4f48422cba6b6a30e22d3",
+    "t10k-images-idx3-ubyte": "9fcbb05f68c862ac44fb2fdbd3c0ffb820e76d00227de241a020b9b6e5e1ab18",
+    "t10k-labels-idx1-ubyte": "2bed0e3790b2dac87cb49ca6718054c88d630c4060f2671b4e1557c9e0ca6621",
+}
+
+
 class TestBuiltinGlyphs:
     def test_counts_balance_and_shape(self, glyphs_dir):
         folder = os.path.join(glyphs_dir, GLYPHS_SUBDIR)
         for (img_name, lbl_name), count in ((MNIST_FILES[:2], 2000),
                                             (MNIST_FILES[2:], 500)):
-            labels = read_idx_labels(os.path.join(folder, lbl_name))
-            imgs = read_idx_images(os.path.join(folder, img_name))
+            labels = read_idx(os.path.join(folder, lbl_name), 1)
+            imgs = read_idx(os.path.join(folder, img_name), 3)
             assert labels.shape == (count,)
             np.testing.assert_array_equal(np.bincount(labels), [count // 10] * 10)
             assert imgs.shape == (count, 28, 28) and imgs.dtype == np.uint8
+
+    def test_bytes_are_pinned(self, glyphs_dir):
+        # "the same bytes every time" across commits, not only within one
+        assert file_digests(os.path.join(glyphs_dir, GLYPHS_SUBDIR)) == GLYPH_DIGESTS
 
     def test_fresh_directories_get_identical_bytes(self, glyphs_dir, tmp_path):
         ensure_builtin_glyphs(str(tmp_path))

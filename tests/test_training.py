@@ -9,6 +9,7 @@ from ibpnet.gradcheck import rel_error
 from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network, batched_forward
 from ibpnet.losses import aux_loss_lp
+from ibpnet.perturb import sweep
 from ibpnet.presets import acceptance_net, mnist_tiny_net, zoo_net
 from ibpnet.training import (
     GradientSet,
@@ -455,6 +456,21 @@ class TestInputGradient:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="in input_gradient"):
             input_gradient(net, x, labels)
+
+    def test_non_finite_gradient_names_input_gradient(self):
+        # the logits and the float64 loss are finite, but the float32
+        # per-sample gradient (the pull times the batch size) overflows to inf
+        fc = FullyConnected(1, 2, np.random.default_rng(0), np.float32)
+        fc.w[...] = [[3e38, -3e38]]
+        net = Network([fc])
+        x, labels = np.ones((2, 1)), np.eye(2)
+        assert np.isfinite(net.forward(x)).all()
+        # an adversarial sweep must fail too, not take sign(inf) of the gradient
+        for run in (lambda: input_gradient(net, x, labels),
+                    lambda: sweep(net, x, labels, "adversarial", [0, 0.1], seed=0)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericError, match="input gradient in input_gradient"):
+                run()
 
 
 class TestErrorRate:

@@ -13,13 +13,16 @@ written with ``Network.save`` and its digest printed, one line per run:
 The command-line leg generates the built-in ``glyphs`` set in a temporary
 directory and runs ``ibpnet.cli.main`` with the flags in ``CLI_RUNS``: a
 preset run with flag overrides and augmentation, and a two-value beta grid.
-It prints one line per model and CSV the commands write:
+It prints one line per IDX file of the generated data, then one per model
+and CSV the commands write:
 
+    data <file name> <sha256>
     cli <file name> <sha256>
 
-Training is deterministic, so two runs of one checkout print the same 24
-lines, and two checkouts print the same lines exactly when they train the
-same bytes. Compare a change against its parent with
+Data generation and training are deterministic, so two runs of one checkout
+print the same 28 lines, and two checkouts print the same lines exactly when
+they write the same data and train the same bytes. Compare a change against
+its parent with
 
     PYTHONPATH=src python3 tools/model_digests.py > after.txt
     (in a checkout of the parent, the same command > before.txt)
@@ -37,6 +40,7 @@ import tempfile
 import numpy as np
 
 from ibpnet.cli import main as cli_main
+from ibpnet.datasets import GLYPHS_SUBDIR, MNIST_FILES
 from ibpnet.presets import build_net
 from ibpnet.tangents import dataset_tangents
 from ibpnet.training import TrainConfig, fit
@@ -93,8 +97,9 @@ def digests():
 
 
 def cli_digests():
-    """[("cli", file name, sha256)] of every model and CSV that the
-    CLI_RUNS commands write, by file name."""
+    """[("data", file name, sha256)] of the four glyph IDX files the commands
+    generate, in MNIST_FILES order, then [("cli", file name, sha256)] of every
+    model and CSV that the CLI_RUNS commands write, by file name."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         runs = os.path.join(tmp, "runs")
@@ -104,6 +109,8 @@ def cli_digests():
                 code = cli_main(["train", *flags, "--data-dir", tmp, "--out", runs])
             if code != 0:
                 raise SystemExit(f"ibpnet train {' '.join(flags)} exited {code}")
+        for fname in MNIST_FILES:
+            out.append(("data", fname, sha256(os.path.join(tmp, GLYPHS_SUBDIR, fname))))
         for fname in sorted(os.listdir(runs)):
             if fname.endswith((".ibpnet", ".csv")):
                 out.append(("cli", fname, sha256(os.path.join(runs, fname))))
