@@ -5,16 +5,21 @@ files: `glyphs` (stroke digits generated with NumPy alone) and `digits`
 
 Every file goes through one IDX codec (`read_idx`, `write_idx`; the rank
 picks the magic) or the CIFAR-10 batch reader, and every split becomes a
-`Dataset` in one place: label bytes outside 0-9 are a `FormatError`, pixels
-are scaled to [0, 1] and the mean pixel of the training split is
-subtracted; the same mean is reused for the test split.
+`Dataset` in one place: pixels are scaled to [0, 1] and the mean pixel of
+the training split is subtracted; the same mean is reused for the test
+split. A label byte outside 0-9 is a `FormatError` naming the labels file
+or CIFAR batch that holds it.
 
 Augmentation (`augment_batch`) draws a fresh transform for every image of a
 batch: scale, then rotate, then shift, all about the image center. The draws
 come from the generator passed in (`ibpnet train --augment` passes
 `rng_stream(seed, "augment")`) as one (N, 5) uniform array, per image in the
-order scale x, scale y, degrees, shift x, shift y. The whole batch is then
-resampled bilinearly in one gather; taps outside the source read 0. tbp
+order scale x, scale y, degrees, shift x, shift y. The batch is then
+resampled bilinearly in blocks of a few images, sized by a private byte
+budget so that the temporaries stay in cache; each block forms its own
+coordinates and gathers its four taps at fixed offsets in a zero-padded copy,
+so taps outside the source read 0. The bytes do not depend on the block
+size. tbp
 and fast-tbp still penalize the tangents of the unwarped images, not of the
 warped batch they train on, so augmented tbp results carry that caveat.
 """
@@ -32,6 +37,10 @@ from .tensor import rng_stream
 
 CLASSES = 10  # every dataset here has ten classes
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+# float64 (H, W) planes per resampling block, one per image: 5 MNIST images,
+# 4 of 3x32x32. At batch 32, larger blocks ran up to 10% faster once the
+# allocator had grown (as after set-up) but twice as slow in a fresh process.
+_RESAMPLE_BLOCK_BYTES = 32 << 10
 # standard IDX file names, shared by mnist and both built-in stand-ins
 MNIST_FILES = (
     "train-images-idx3-ubyte",
@@ -75,12 +84,16 @@ def denormalize(images: np.ndarray, mean_pixel: float) -> np.ndarray:
     return images + mean_pixel
 
 
-def _split(pixels: np.ndarray, labels: np.ndarray, mean_pixel: float | None) -> Dataset:
-    """uint8 pixels (N, C, H, W) and label bytes (N,) as a normalized Dataset;
-    mean_pixel None takes the split's own mean."""
+def _check_labels(labels: np.ndarray, path):
+    """FormatError naming path at the first label byte outside 0-9."""
     bad = labels[labels >= CLASSES]
     if bad.size:
-        raise FormatError(f"label byte {bad[0]} out of range for {CLASSES} classes")
+        raise FormatError(f"{path}: label byte {bad[0]} out of range for {CLASSES} classes")
+
+
+def _split(pixels: np.ndarray, labels: np.ndarray, mean_pixel: float | None) -> Dataset:
+    """uint8 pixels (N, C, H, W) and checked label bytes (N,) as a normalized
+    Dataset; mean_pixel None takes the split's own mean."""
     raw = pixels.astype(np.float64) / 255.0
     if mean_pixel is None:
         mean_pixel = float(raw.mean())
@@ -125,7 +138,8 @@ def load_mnist(images_path, labels_path, mean_pixel: float | None = None) -> Dat
     images = read_idx(images_path, 3)
     labels = read_idx(labels_path, 1)
     if images.shape[0] != labels.shape[0]:
-        raise FormatError(f"count mismatch: {len(images)} images vs {len(labels)} labels")
+        raise FormatError(f"{labels_path}: count mismatch: {len(labels)} labels, {len(images)} images")
+    _check_labels(labels, labels_path)
     return _split(images[:, None], labels, mean_pixel)
 
 
@@ -141,6 +155,7 @@ def load_cifar10(batch_paths, mean_pixel: float | None = None) -> Dataset:
         if len(blob) == 0 or len(blob) % CIFAR_RECORD:
             raise FormatError(f"{path}: length {len(blob)} is not a multiple of {CIFAR_RECORD}")
         records.append(np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD))
+        _check_labels(records[-1][:, 0], path)
     rec = np.concatenate(records)
     return _split(rec[:, 1:].reshape(-1, 3, 32, 32), rec[:, 0], mean_pixel)
 
@@ -192,42 +207,51 @@ class AugmentSpec:
 
 def bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample each image of imgs (N, C, H, W) at its own fractional
-    (rows, cols), both (N, ...), in one gather; out-of-bounds taps read 0."""
+    (rows, cols), both (N, ...); out-of-bounds taps read 0. The coordinates
+    must be finite; augment_batch's are, since AugmentSpec rejects a
+    non-positive scale."""
     n, c, h, w = imgs.shape
-    # channels last inside a one-pixel border of zeros: clipped to the
-    # border, every tap off the image reads 0
-    pad = np.zeros((n, h + 2, w + 2, c))
-    pad[:, 1:-1, 1:-1] = imgs.transpose(0, 2, 3, 1)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = rows - r0
-    fc = cols - c0
-    base = (np.arange(n) * (h + 2)).reshape((n,) + (1,) * (rows.ndim - 1))
-    top, bottom = ((np.clip(r0 + d, 0, h + 1) + base) * (w + 2) for d in (1, 2))
-    left, right = (np.clip(c0 + d, 0, w + 1) for d in (1, 2))
-    taps = pad.reshape(-1, c)[np.stack([top + left, top + right,
-                                        bottom + left, bottom + right])]
-    acc = np.zeros((n, c) + rows.shape[1:])
-    for weight, vals in zip(((1 - fr) * (1 - fc), (1 - fr) * fc,
-                             fr * (1 - fc), fr * fc), taps):
-        acc += weight[:, None] * np.moveaxis(vals, -1, 1)
+    # inside a two-pixel border of zeros, a top-left tap clipped to
+    # [-2, H] x [-2, W] puts all four taps on the padded image, and a tap
+    # off the image reads 0
+    hp, wp = h + 4, w + 4
+    pad = np.zeros((n, c, hp, wp))
+    pad[:, :, 2:-2, 2:-2] = imgs
+    r0, c0 = np.floor(rows), np.floor(cols)
+    fr, fc = rows - r0, cols - c0
+    corner = ((np.clip(r0, -2, h, out=r0) + 2) * wp
+              + np.clip(c0, -2, w, out=c0) + 2).astype(np.intp)
+    # the top-left tap's flat index in pad, one plane per (image, channel)
+    index = corner[:, None] + np.arange(n * c).reshape(n, c, *[1] * (rows.ndim - 1)) * (hp * wp)
+    gr, gc = 1 - fr, 1 - fc
+    tap, acc = np.empty(index.shape), np.zeros(index.shape)
+    for offset, weight in ((0, gr * gc), (1, gr * fc), (wp, fr * gc), (wp + 1, fr * fc)):
+        np.take(pad.ravel()[offset:], index, out=tap)
+        tap *= weight[:, None]
+        acc += tap
     return acc
 
 
 def _affine_batch(x: np.ndarray, matrices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Resample each image of x (N, C, H, W) under its forward map
     p' = matrices[i] @ p + offsets[i] about the image center, where
-    p = (x, y) in centered pixel coordinates."""
-    h, w = x.shape[2:]
+    p = (x, y) in centered pixel coordinates. The images are resampled in
+    blocks: as many as give one float64 (H, W) plane each within
+    _RESAMPLE_BLOCK_BYTES."""
+    n, _, h, w = x.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64) - cx,
-                         np.arange(h, dtype=np.float64) - cy)
+    gx, gy = np.arange(w) - cx, np.arange(h)[:, None] - cy
     inv = np.linalg.inv(matrices)[..., None, None]  # (N, 2, 2, 1, 1)
-    dx = gx - offsets[:, 0, None, None]
-    dy = gy - offsets[:, 1, None, None]
-    sx = inv[:, 0, 0] * dx + inv[:, 0, 1] * dy
-    sy = inv[:, 1, 0] * dx + inv[:, 1, 1] * dy
-    return bilinear_sample(x, sy + cy, sx + cx)
+    out = np.empty(x.shape)
+    step = max(1, _RESAMPLE_BLOCK_BYTES // (h * w * 8))
+    for i in range(0, n, step):
+        b = slice(i, i + step)
+        # (B, 1, W) and (B, H, 1): each element gets the operations a full grid got
+        dx, dy = gx - offsets[b, 0, None, None], gy - offsets[b, 1, None, None]
+        sx = inv[b, 0, 0] * dx + inv[b, 0, 1] * dy + cx
+        sy = inv[b, 1, 0] * dx + inv[b, 1, 1] * dy + cy
+        out[b] = bilinear_sample(x[b], sy, sx)
+    return out
 
 
 def affine_sample(img: np.ndarray, matrix: np.ndarray, offset) -> np.ndarray:
@@ -255,7 +279,7 @@ def augment_batch(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) ->
     """A fresh scale -> rotate -> shift draw for each image of x (N, C, H, W).
 
     One draw of (N, 5) uniforms, per image in the order scale x, scale y,
-    degrees, shift x, shift y; the batch is then resampled in one gather.
+    degrees, shift x, shift y; the batch is then resampled block by block.
     """
     x = np.asarray(x, dtype=np.float64)
     lo, hi = np.transpose([spec.scale, spec.scale, spec.rotation, spec.shift, spec.shift])

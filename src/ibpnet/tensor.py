@@ -9,11 +9,14 @@ bottom/right borders are truncated to the image, with no padding.
 Inside, the conv and max-pool kernels work on batch chunks whose size is a
 fixed byte budget divided by the bytes one image needs at the input's item
 size, so each chunk's temporaries stay in cache and no temporary grows with
-the batch. Max pooling works channels-last (NHWC). Each conv kernel picks
-its layout from the layer's geometry: when an output row (Wo values) is
-longer than a channels-last kernel row (kw*C values), as in first layers
-with few input channels, it works per image in NCHW on a (C*kh*kw, Ho*Wo)
-patch stack; otherwise channels-last on one patch matrix per chunk.
+the batch. Max pooling works channels-last (NHWC); its backward scatter
+makes one bincount per chunk (sized by bincount's float64 sums), and as
+images are disjoint planes each keeps its summation order, so the chunk size
+does not change a byte. Each conv kernel picks its layout from the layer's
+geometry: when an output row (Wo values) is longer than a channels-last
+kernel row (kw*C values), as in first layers with few input channels, it
+works per image in NCHW on a (C*kh*kw, Ho*Wo) patch stack; otherwise
+channels-last on one patch matrix per chunk.
 """
 
 from __future__ import annotations
@@ -333,15 +336,21 @@ def maxpool_forward(x, window, stride, positions: bool = True):
 def maxpool_scatter(dy, argmax, in_hw) -> np.ndarray:
     """VJP of maxpool: route each output cotangent back to its argmax position.
 
-    One bincount over (image, channel)-offset positions; cotangents that meet
-    at one input pixel add in row-major output order. bincount sums in
-    float64 whatever the weights' dtype, so the result is cast back to dy's.
+    One bincount per batch chunk over (image, channel)-offset positions;
+    cotangents that meet at one input pixel add in row-major output order.
+    bincount sums in float64 whatever the weights' dtype, so each chunk is
+    cast back to dy's as it is written.
     """
     n, c = dy.shape[:2]
     h, w = in_hw
-    planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
-    dx = np.bincount((argmax + planes).ravel(), weights=dy.ravel(), minlength=n * c * h * w)
-    return dx.astype(dy.dtype, copy=False).reshape(n, c, h, w)
+    dx = np.empty((n, c, h, w), dtype=dy.dtype)
+    step = _pool_chunk(c, in_hw, 8)  # sized by bincount's float64 sums
+    planes = np.arange(step * c).reshape(step, c, 1, 1) * (h * w)
+    for n0 in range(0, n, step):
+        chunk = dx[n0:n0 + step]
+        chunk[...] = np.bincount((argmax[n0:n0 + step] + planes[:len(chunk)]).ravel(),
+                                 dy[n0:n0 + step].ravel(), chunk.size).reshape(chunk.shape)
+    return dx
 
 
 def maxpool_gather(v, argmax, in_hw) -> np.ndarray:

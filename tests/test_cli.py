@@ -149,7 +149,23 @@ class TestTrain:
         args = ["train", "--dataset", "mnist", "--data-dir", str(data),
                 "--out", str(tmp_path / "runs")]
         assert main(args) == 2
-        assert "label byte 12 out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "label byte 12 out of range" in err
+        assert str(data / "train-labels-idx1-ubyte") in err
+
+    def test_bad_cifar_label_byte_names_its_batch_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+        for name in names:
+            # one record each: a label byte, then 3072 zero pixel bytes
+            label = 11 if name == "data_batch_2.bin" else 3
+            (data / name).write_bytes(bytes([label]) + bytes(3 * 32 * 32))
+        args = ["train", "--dataset", "cifar10", "--data-dir", str(data),
+                "--out", str(tmp_path / "runs")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{data / 'data_batch_2.bin'}: label byte 11 out of range" in err
 
     def test_unknown_algo_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

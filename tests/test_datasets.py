@@ -5,11 +5,13 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ibpnet.datasets import (
+    _RESAMPLE_BLOCK_BYTES,
     AugmentSpec,
     CIFAR_RECORD,
     GLYPHS_SUBDIR,
@@ -97,8 +99,9 @@ class TestIdx:
     def test_load_mnist_count_mismatch(self, tmp_path):
         write_idx(tmp_path / "i", np.zeros((3, 2, 2), dtype=np.uint8))
         write_idx(tmp_path / "l", np.zeros(2, dtype=np.uint8))
-        with pytest.raises(FormatError, match="count mismatch"):
+        with pytest.raises(FormatError, match="count mismatch") as exc:
             load_mnist(tmp_path / "i", tmp_path / "l")
+        assert str(exc.value).startswith(f"{tmp_path / 'l'}: ")
 
     def test_load_mnist_normalization(self, tmp_path):
         imgs = np.array([[[0, 255]], [[255, 0]]], dtype=np.uint8)
@@ -116,8 +119,9 @@ class TestIdx:
     def test_load_mnist_label_out_of_range(self, tmp_path):
         write_idx(tmp_path / "i", np.zeros((3, 2, 2), dtype=np.uint8))
         write_idx(tmp_path / "l", np.array([9, 12, 10], dtype=np.uint8))
-        with pytest.raises(FormatError, match="label byte 12 out of range for 10 classes"):
+        with pytest.raises(FormatError, match="label byte 12 out of range for 10 classes") as exc:
             load_mnist(tmp_path / "i", tmp_path / "l")
+        assert str(exc.value).startswith(f"{tmp_path / 'l'}: ")
 
 
 class TestCifar:
@@ -291,15 +295,25 @@ def ref_augment(img, spec, rng):
     return ref_bilinear(img, src_y + cy, src_x + cx)
 
 
+# images of 3x32x32 per resampling block; three blocks less one image leave
+# a ragged last block
+RGB_BLOCK = max(1, _RESAMPLE_BLOCK_BYTES // (32 * 32 * 8))
+# sha256 of the augmented bytes in test_bytes_are_pinned
+AUGMENT_SHA256 = "967412cd3bd4f412f53e3a65c75ab0847671548027edde9cb5cb83d94340a611"
+
+
 class TestAugmentBatchAgainstReference:
     @pytest.mark.parametrize("shape, spec", [
         ((1, 1, 28, 28), AugmentSpec()),
         ((32, 1, 28, 28), AugmentSpec()),
         ((33, 1, 28, 28), AugmentSpec()),
         ((4, 3, 32, 32), AugmentSpec()),
+        ((3 * RGB_BLOCK - 1, 3, 32, 32), AugmentSpec()),
         ((5, 1, 28, 28), AugmentSpec(shift=(2.0, 2.0), scale=(1.0, 1.0),
                                      rotation=(0.0, 0.0))),
-    ], ids=["n1", "n32", "n33", "rgb32", "degenerate"])
+        # unrotated, any scale maps the shifted grid at least 5 px off the image
+        ((6, 1, 28, 28), AugmentSpec(shift=(40.0, 40.0), rotation=(0.0, 0.0))),
+    ], ids=["n1", "n32", "n33", "rgb32", "rgb-blocks", "degenerate", "off-image"])
     def test_bitwise_with_same_next_draw(self, shape, spec):
         x = np.random.default_rng(11).random(shape) - 0.25
         rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
@@ -308,6 +322,28 @@ class TestAugmentBatchAgainstReference:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert rng.random() == ref_rng.random()
+        if spec.shift[0] == 40.0:  # every tap read the zero border
+            assert not got.any()
+
+    def test_bytes_are_pinned(self):
+        # a change of augmented bytes fails here even if the reference above
+        # changed with it
+        h = hashlib.sha256()
+        for seed, shape in ((21, (40, 1, 28, 28)), (23, (9, 3, 32, 32))):
+            x = np.random.default_rng(seed).random(shape)
+            h.update(augment_batch(x, AugmentSpec(), np.random.default_rng(seed + 1)).tobytes())
+        assert h.hexdigest() == AUGMENT_SHA256
+
+    def test_peak_memory_within_three_results(self):
+        x = np.random.default_rng(14).random((256, 1, 28, 28))
+        rng = np.random.default_rng(15)
+        tracemalloc.start()
+        try:
+            out = augment_batch(x, AugmentSpec(), rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes, f"{peak / out.nbytes:.1f}x the result"
 
     def test_upsample_bitwise(self):
         img8 = np.random.default_rng(13).random((8, 8))

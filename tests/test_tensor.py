@@ -395,6 +395,32 @@ class TestAgainstEarlierKernels:
             maxpool_gather(v, arg, xs[1:]), ref_maxpool_gather(v, arg, xs[1:]))
 
 
+def one_bincount_scatter(dy, argmax, in_hw):
+    """maxpool_scatter as one bincount over the whole batch, cast back to dy's dtype."""
+    n, c = dy.shape[:2]
+    h, w = in_hw
+    planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    dx = np.bincount((argmax + planes).ravel(), weights=dy.ravel(), minlength=n * c * h * w)
+    return dx.astype(dy.dtype, copy=False).reshape(n, c, h, w)
+
+
+class TestScatterChunks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_keep_one_bincount_bytes(self, dtype):
+        # 260 images, the eval set size: many chunks and a ragged last one
+        n, xs = 260, POOL_SHAPES[0][1]
+        chunk = tensor._pool_chunk(xs[0], xs[1:], F64_ITEMSIZE)
+        assert n // chunk >= 3 and n % chunk
+        rng = np.random.default_rng(12)
+        x = tie_heavy(rng.normal(size=(n,) + xs)).astype(dtype)
+        _, arg = maxpool_forward(x, *POOL)
+        dy = rng.normal(size=arg.shape).astype(dtype)
+        got = maxpool_scatter(dy, arg, xs[1:])
+        want = one_bincount_scatter(dy, arg, xs[1:])
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def scatter_loop(dy, argmax, in_hw):
     """Adds each cotangent at its argmax, in row-major output order."""
     n, c, ho, wo = dy.shape

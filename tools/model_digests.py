@@ -1,11 +1,13 @@
-"""Train nine step configurations for one epoch on two nets, and two
+"""Train ten step configurations for one epoch on two nets, and two
 ``ibpnet train`` commands, and print the sha256 of each saved model file
 and epoch CSV.
 
 Each ``fit`` run builds ``mnist-tiny`` or ``mnist-paper`` from seed 0 and
 trains it for one epoch, in two batches of 32, on the same 64 seeded
 1x28x28 images, labels and tangents. Every algorithm runs: bp, loss-ibp and
-pred-ibp at r=1 and r=2, tbp, fast-tbp, at and fast-at. The model is
+pred-ibp at r=1 and r=2, tbp, fast-tbp, at and fast-at, and bp once more on
+batches augmented by ``augment_batch`` from a fresh ``rng_stream(0,
+"augment")``, as ``ibpnet train --augment`` draws them. The model is
 written with ``Network.save`` and its digest printed, one line per run:
 
     <net> <configuration> <sha256>
@@ -20,7 +22,7 @@ and CSV the commands write:
     cli <file name> <sha256>
 
 Data generation and training are deterministic, so two runs of one checkout
-print the same 28 lines, and two checkouts print the same lines exactly when
+print the same 30 lines, and two checkouts print the same lines exactly when
 they write the same data and train the same bytes. Compare a change against
 its parent with
 
@@ -40,9 +42,10 @@ import tempfile
 import numpy as np
 
 from ibpnet.cli import main as cli_main
-from ibpnet.datasets import GLYPHS_SUBDIR, MNIST_FILES
+from ibpnet.datasets import GLYPHS_SUBDIR, MNIST_FILES, AugmentSpec, augment_batch
 from ibpnet.presets import build_net
 from ibpnet.tangents import dataset_tangents
+from ibpnet.tensor import rng_stream
 from ibpnet.training import TrainConfig, fit
 
 NETS = ("mnist-tiny", "mnist-paper")
@@ -56,6 +59,7 @@ CONFIGS = {
     "fast-tbp": dict(algo="fast-tbp", beta=0.1),
     "at": dict(algo="at", epsilon=0.1),
     "fast-at": dict(algo="fast-at", epsilon=0.1),
+    "bp-augment": dict(algo="bp"),
 }
 CLI_RUNS = (
     ("--preset", "mnist-tiny", "--dataset", "glyphs", "--subset-size", "100",
@@ -75,6 +79,13 @@ def training_set():
     return x, labels, dataset_tangents(x, sigma=0.9)
 
 
+def augment_transform():
+    """A fresh augment_batch transform; the images are already in [0, 1]."""
+    rng = rng_stream(SEED, "augment")
+    spec = AugmentSpec()
+    return lambda xb: augment_batch(xb, spec, rng)
+
+
 def sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -89,7 +100,8 @@ def digests():
             for label, kw in CONFIGS.items():
                 net = build_net(name, SEED)
                 cfg = TrainConfig(epochs=1, batch_size=32, seed=SEED, **kw)
-                fit(net, x, labels, cfg, tangents=tangents)
+                fit(net, x, labels, cfg, tangents=tangents,
+                    batch_transform=augment_transform() if label == "bp-augment" else None)
                 path = os.path.join(tmp, f"{name}-{label}.ibpnet")
                 net.save(path)
                 out.append((name, label, sha256(path)))
