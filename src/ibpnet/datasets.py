@@ -55,7 +55,7 @@ class Dataset:
     """Images in normalized units (mean already subtracted), one-hot labels."""
 
     # float64 whatever the net's dtype: a float32 net casts each batch at its
-    # first weight layer, so augmentation and tangents stay in float64
+    # first weight layer, so augmentation stays in float64
     images: np.ndarray  # (N, C, H, W) float64
     labels: np.ndarray  # (N, K) one-hot float64
     mean_pixel: float

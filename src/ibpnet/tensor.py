@@ -293,8 +293,9 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     positions=False skips the index scan and returns argmax None.
 
     Per batch chunk, channels-last: a running maximum over the window taps,
-    then a backwards scan over the taps blends each tap's index into the
-    argmax wherever that tap equals the maximum, so the first one wins.
+    then a backwards scan over the taps blends each tap's flat offset in the
+    window into the argmax wherever that tap equals the maximum, so the
+    first one wins; the window start added to it gives the flat index.
     """
     n, c, h, w = x.shape
     kh, kw = window
@@ -302,8 +303,9 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     ho, wo = _pool_geometry((h, w), window, stride)
     hp = (ho - 1) * sh + kh
     wp = (wo - 1) * sw + kw
-    # flat index of tap k = (u, v) is window_start + offsets[k]
-    offsets = (np.arange(kh)[:, None] * w + np.arange(kw)).ravel()
+    # flat index of tap (u, v) is window_start + u*W + v; Python ints, so
+    # that the scan below keeps its unsigned dtype
+    offsets = [u * w + v for u in range(kh) for v in range(kw)]
     starts = np.arange(ho)[:, None] * (sh * w) + np.arange(wo) * sw
     out = np.empty((n, c, ho, wo), dtype=x.dtype)
     argmax = np.empty((n, c, ho, wo), dtype=np.int64) if positions else None
@@ -319,17 +321,18 @@ def maxpool_forward(x, window, stride, positions: bool = True):
         out[n0:n0 + len(xc)] = best.transpose(0, 3, 1, 2)
         if not positions:
             continue
-        # idx -= hit * (idx - k) sets idx to k where tap k is maximal; the
-        # smallest unsigned type holding every tap index keeps it exact
-        idx = np.zeros(best.shape, dtype=np.min_scalar_type(len(taps) - 1))
+        # idx -= hit * (idx - off) sets idx to off where the tap at offset
+        # off is maximal; the smallest unsigned type holding every offset
+        # keeps it exact
+        idx = np.zeros(best.shape, dtype=np.min_scalar_type(offsets[-1]))
         hit = np.empty(best.shape, dtype=bool)
         delta = np.empty_like(idx)
-        for k in range(len(taps) - 1, -1, -1):
-            np.equal(taps[k], best, out=hit)
-            np.subtract(idx, k, out=delta)
+        for t, off in zip(taps[::-1], offsets[::-1]):
+            np.equal(t, best, out=hit)
+            np.subtract(idx, off, out=delta)
             np.multiply(delta, hit, out=delta)
             np.subtract(idx, delta, out=idx)
-        np.add(offsets[idx.transpose(0, 3, 1, 2)], starts, out=argmax[n0:n0 + len(xc)])
+        np.add(idx.transpose(0, 3, 1, 2), starts, out=argmax[n0:n0 + len(xc)])
     return out, argmax
 
 
@@ -354,11 +357,11 @@ def maxpool_scatter(dy, argmax, in_hw) -> np.ndarray:
 
 
 def maxpool_gather(v, argmax, in_hw) -> np.ndarray:
-    """JVP of maxpool: pick the cached argmax positions regardless of value."""
+    """JVP of maxpool: pick the cached argmax positions regardless of value,
+    as one flat take at argmax plus each (image, channel) plane's offset."""
     n, c = v.shape[:2]
-    flat = v.reshape(n, c, in_hw[0] * in_hw[1])
-    picked = np.take_along_axis(flat, argmax.reshape(n, c, -1), axis=2)
-    return picked.reshape(argmax.shape)
+    planes = np.arange(n * c).reshape(n, c, 1, 1) * (in_hw[0] * in_hw[1])
+    return np.take(v.reshape(-1), argmax + planes)
 
 
 def _pool_counts(in_hw, window, stride, out_hw, dtype):

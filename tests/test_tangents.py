@@ -202,9 +202,30 @@ class TestDatasetTangents:
         x = rng.normal(size=(3, 2, 9, 9))
         t = dataset_tangents(x, 0.9)
         assert t.shape == (3, 5, 2, 9, 9)
-        single = tangent_vectors(x[1], 0.9)  # (C, 5, H, W)
+        single = tangent_vectors(x[1].astype(np.float32), 0.9)  # (C, 5, H, W)
         np.testing.assert_array_equal(t[1], single.transpose(1, 0, 2, 3))
         assert dataset_tangents(np.zeros((0, 2, 9, 9)), 0.9).shape == (0, 5, 2, 9, 9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float32_result_for_any_float_input(self, dtype):
+        x = np.random.default_rng(9).random((4, 3, 8, 6)).astype(dtype)
+        t = dataset_tangents(x, 0.9)
+        assert t.dtype == np.float32
+        assert t.nbytes == 4 * 5 * 3 * 8 * 6 * 4
+        # the per-image functions keep float32 and float64 as they are given
+        assert tangent_vectors(x[0], 0.9).dtype == dtype
+        assert gaussian_smooth(x[0], 0.9).dtype == dtype
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("sigma", [0.3, 0.9, 2.5])
+    @pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)])
+    def test_close_to_float64_tangents(self, shape, sigma, normalize):
+        # float32 rounding only: within 1e-5 of the largest tangent
+        x = np.random.default_rng(10).random((6,) + shape) - 0.13
+        ref = tangent_vectors(x, sigma, normalize).transpose(0, 2, 1, 3, 4)
+        assert ref.dtype == np.float64
+        err = np.abs(dataset_tangents(x, sigma, normalize) - ref).max()
+        assert err <= 1e-5 * np.abs(ref).max()
 
     def test_rejects_non_4d(self):
         with pytest.raises(ConfigError):
@@ -214,12 +235,13 @@ class TestDatasetTangents:
     @pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)])
     def test_blocks_give_the_bytes_of_per_image_tangents(self, shape, normalize):
         # two full blocks and a short one
-        step = tangents._TANGENT_BLOCK_BYTES // (5 * int(np.prod(shape)) * 8)
+        step = tangents._TANGENT_BLOCK_BYTES // (5 * int(np.prod(shape)) * 4)
         assert step > 1
         x = np.random.default_rng(6).random((2 * step + 3,) + shape)
         t = dataset_tangents(x, 0.9, normalize)
         for i in range(x.shape[0]):
-            single = tangent_vectors(x[i], 0.9, normalize).transpose(1, 0, 2, 3)
+            image = x[i].astype(np.float32)
+            single = tangent_vectors(image, 0.9, normalize).transpose(1, 0, 2, 3)
             assert t[i].tobytes() == np.ascontiguousarray(single).tobytes()
 
     def test_peak_memory_is_about_the_result(self):

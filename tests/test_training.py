@@ -10,7 +10,8 @@ from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network, batched_forward
 from ibpnet.losses import aux_loss_lp
 from ibpnet.perturb import sweep
-from ibpnet.presets import acceptance_net, mnist_tiny_net, zoo_net
+from ibpnet.presets import acceptance_net, build_net, mnist_tiny_net, zoo_net
+from ibpnet.tangents import tangent_vectors
 from ibpnet.training import (
     GradientSet,
     SgdMomentum,
@@ -535,6 +536,22 @@ class TestFit:
             with pytest.raises(ConfigError, match="tangent"):
                 fit(acceptance_net(0), x, np.zeros((4, 16)),
                     TrainConfig(algo=algo, epochs=0))
+
+    @pytest.mark.parametrize("name", ["mnist-tiny", "mnist-paper"])
+    def test_tbp_trains_the_same_bytes_on_float32_tangents(self, name):
+        # a float32 net casts each tangent to float32 at its first weight
+        # layer, so storing the float64 tangents as float32 moves no byte
+        rng = np.random.default_rng(18)
+        x = rng.random((16, 1, 28, 28))
+        labels = np.eye(10)[rng.integers(0, 10, size=16)]
+        tan64 = tangent_vectors(x, 0.9).transpose(0, 2, 1, 3, 4)
+        cfg = TrainConfig(algo="tbp", beta=0.1, r=2, epochs=1, batch_size=8, seed=0)
+        nets = [build_net(name, 0), build_net(name, 0)]
+        fit(nets[0], x, labels, cfg, tangents=tan64)
+        fit(nets[1], x, labels, cfg, tangents=tan64.astype(np.float32))
+        for (wa, ba), (wb, bb) in zip(nets[0].params(), nets[1].params()):
+            assert wa.dtype == np.float32
+            assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
 
     def test_label_count_mismatch(self):
         with pytest.raises(ConfigError, match="labels count"):

@@ -4,8 +4,11 @@ and epoch CSV.
 
 Each ``fit`` run builds ``mnist-tiny`` or ``mnist-paper`` from seed 0 and
 trains it for one epoch, in two batches of 32, on the same 64 seeded
-1x28x28 images, labels and tangents. Every algorithm runs: bp, loss-ibp and
-pred-ibp at r=1 and r=2, tbp, fast-tbp, at and fast-at, and bp once more on
+1x28x28 images, labels and tangents. The tangents are the float32 array
+that ``dataset_tangents`` builds, as ``ibpnet train`` does, so a change to
+how they are built shows in the tbp and fast-tbp lines. Every algorithm
+runs: bp, loss-ibp and pred-ibp at r=1 and r=2, tbp, fast-tbp, at and
+fast-at, and bp once more on
 batches augmented by ``augment_batch`` from a fresh ``rng_stream(0,
 "augment")``, as ``ibpnet train --augment`` draws them. The model is
 written with ``Network.save`` and its digest printed, one line per run:
@@ -72,7 +75,7 @@ SEED = 0
 
 
 def training_set():
-    """64 seeded images in [0, 1], one-hot labels and their five tangents."""
+    """64 seeded images in [0, 1], one-hot labels and their five float32 tangents."""
     rng = np.random.default_rng(SEED)
     x = rng.random((N_IMAGES, 1, 28, 28))
     labels = np.eye(10)[rng.integers(0, 10, size=N_IMAGES)]
