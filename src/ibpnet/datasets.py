@@ -7,8 +7,11 @@ Every file goes through one IDX codec (`read_idx`, `write_idx`; the rank
 picks the magic) or the CIFAR-10 batch reader, and every split becomes a
 `Dataset` in one place: pixels are scaled to [0, 1] and the mean pixel of
 the training split is subtracted; the same mean is reused for the test
-split. A label byte outside 0-9 is a `FormatError` naming the labels file
-or CIFAR batch that holds it.
+split. Both steps run in float64 and the images are then stored once in
+float32, the dtype the named nets train in, so a split takes half the
+memory and those nets see the values that casting the float64 images at
+their first layer gives. A label byte outside 0-9 is a `FormatError`
+naming the labels file or CIFAR batch that holds it.
 
 Augmentation (`augment_batch`) draws a fresh transform for every image of a
 batch: scale, then rotate, then shift, all about the image center. The draws
@@ -19,9 +22,10 @@ resampled bilinearly in blocks of a few images, sized by a private byte
 budget so that the temporaries stay in cache; each block forms its own
 coordinates and gathers its four taps at fixed offsets in a zero-padded copy,
 so taps outside the source read 0. The bytes do not depend on the block
-size. tbp
-and fast-tbp still penalize the tangents of the unwarped images, not of the
-warped batch they train on, so augmented tbp results carry that caveat.
+size. Augmentation computes in float64 whatever the images' dtype, and
+`denormalize` and `normalize` return float64. tbp and fast-tbp still
+penalize the tangents of the unwarped images, not of the warped batch they
+train on, so augmented tbp results carry that caveat.
 """
 from __future__ import annotations
 
@@ -54,9 +58,9 @@ MNIST_FILES = (
 class Dataset:
     """Images in normalized units (mean already subtracted), one-hot labels."""
 
-    # float64 whatever the net's dtype: a float32 net casts each batch at its
-    # first weight layer, so augmentation stays in float64
-    images: np.ndarray  # (N, C, H, W) float64
+    # float32, the dtype the named nets train in; augmentation and the
+    # float64 nets cast what they read
+    images: np.ndarray  # (N, C, H, W) float32 from the loaders
     labels: np.ndarray  # (N, K) one-hot float64
     mean_pixel: float
 
@@ -81,7 +85,8 @@ def normalize(raw: np.ndarray, mean_pixel: float) -> np.ndarray:
 
 
 def denormalize(images: np.ndarray, mean_pixel: float) -> np.ndarray:
-    return images + mean_pixel
+    """[0,1]-scaled pixels from normalized images, in float64."""
+    return np.asarray(images, dtype=np.float64) + mean_pixel
 
 
 def _check_labels(labels: np.ndarray, path):
@@ -93,11 +98,16 @@ def _check_labels(labels: np.ndarray, path):
 
 def _split(pixels: np.ndarray, labels: np.ndarray, mean_pixel: float | None) -> Dataset:
     """uint8 pixels (N, C, H, W) and checked label bytes (N,) as a normalized
-    Dataset; mean_pixel None takes the split's own mean."""
-    raw = pixels.astype(np.float64) / 255.0
+    float32 Dataset; mean_pixel None takes the split's own mean. The /255
+    scaling, the mean and its subtraction are float64, in place, and the
+    result is cast once: float32(normalize(raw, mean_pixel)), the values a
+    float32 net gets by casting the float64 images at its first layer."""
+    raw = pixels.astype(np.float64)
+    raw /= 255.0
     if mean_pixel is None:
         mean_pixel = float(raw.mean())
-    return Dataset(normalize(raw, mean_pixel), one_hot(labels, CLASSES), mean_pixel)
+    raw -= mean_pixel
+    return Dataset(raw.astype(np.float32), one_hot(labels, CLASSES), mean_pixel)
 
 
 # ---------------------------------------------------------------------------

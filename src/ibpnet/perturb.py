@@ -5,7 +5,12 @@ loss gradient sign, unclipped, with the gradient taken against the true
 labels once per sweep; the forward pass of that gradient also scores level
 0. Gaussian corruption adds N(0, sigma^2) noise from a per-level RNG
 stream, so results do not depend on the order in which levels are
-evaluated. Every other level is scored by error_rate (``Network.predict``).
+evaluated. Every other level is scored by one error_rate call
+(``Network.predict``) that corrupts the set one eval batch at a time as it
+reads it, so a sweep holds one corrupted batch (and, if adversarial, the
+set's gradient in the net's dtype). The noise drawn batch after batch has
+the values of one whole-set draw (``gaussian_testset``), so the errors do
+not depend on the batch size.
 Sweeps emit one CSV row per level with the schema `kind,level,error,n,seed`.
 """
 
@@ -45,14 +50,35 @@ class NoiseSweep:
                 fh.write(row + "\n")
 
 
+class _Corrupted:
+    """images + shift(sl), made per slice as batched_forward reads it: each
+    slice once, in order, so a shift drawn from an RNG stream draws in the
+    order of a whole-set draw."""
+
+    def __init__(self, images: np.ndarray, shift):
+        self.images, self.shift = images, shift
+
+    def __len__(self):
+        return len(self.images)
+
+    def __getitem__(self, sl):
+        return self.images[sl] + self.shift(sl)
+
+
+def _gaussian(images: np.ndarray, sigma: float, seed: int) -> _Corrupted:
+    """images + N(0, sigma^2) noise from the level's stream, per slice read."""
+    rng = rng_stream(seed, f"gaussian/{sigma!r}")
+    return _Corrupted(images, lambda sl: rng.normal(0.0, sigma, size=images[sl].shape))
+
+
 def gaussian_testset(images: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """x + N(0, sigma^2) noise; deterministic per (seed, sigma)."""
+    """x + N(0, sigma^2) noise; deterministic per (seed, sigma). The same
+    values as a sweep draws batch by batch."""
     if sigma < 0:
         raise ConfigError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0.0:
         return images
-    rng = rng_stream(seed, f"gaussian/{sigma!r}")
-    return images + rng.normal(0.0, sigma, size=images.shape)
+    return _gaussian(images, sigma, seed)[:]
 
 
 def sweep(net: Network, images: np.ndarray, labels: np.ndarray, kind: str,
@@ -66,13 +92,14 @@ def sweep(net: Network, images: np.ndarray, labels: np.ndarray, kind: str,
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"sweep levels must be strictly increasing: {levels}")
     if kind == "gaussian":
-        errors, corrupted = [], (gaussian_testset(images, level, seed) for level in levels)
+        errors, corrupted = [], [images] + [_gaussian(images, v, seed) for v in levels[1:]]
     elif len(levels) == 1:
         errors, corrupted = [], [images]
     else:  # one gradient pass gives every level's direction and the clean outputs
         grad, out = input_gradient(net, images, labels, batch_size=batch_size)
         errors = [output_error(out, labels)]
         direction = np.sign(grad, out=grad)
-        corrupted = (images + level * direction for level in levels[1:])
+        corrupted = [_Corrupted(images, lambda sl, level=level: level * direction[sl])
+                     for level in levels[1:]]
     errors += [error_rate(net, c, labels, batch_size=batch_size) for c in corrupted]
     return NoiseSweep(kind, levels, errors, images.shape[0], seed)

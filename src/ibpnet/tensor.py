@@ -285,7 +285,8 @@ def _pool_geometry(in_hw, window, stride):
 
 
 def maxpool_forward(x, window, stride, positions: bool = True):
-    """Max over each window; returns (out, argmax) with argmax as flat (H*W) indices.
+    """Max over each window; returns (out, argmax) with argmax as int32 flat
+    (H*W) indices within each (image, channel) plane.
 
     Ties are broken by the first maximal element in a row-major scan of the
     window, so the selected index is deterministic. A window holding NaN
@@ -308,7 +309,8 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     offsets = [u * w + v for u in range(kh) for v in range(kw)]
     starts = np.arange(ho)[:, None] * (sh * w) + np.arange(wo) * sw
     out = np.empty((n, c, ho, wo), dtype=x.dtype)
-    argmax = np.empty((n, c, ho, wo), dtype=np.int64) if positions else None
+    # positions lie below H*W; gather and scatter add int64 plane offsets
+    argmax = np.empty((n, c, ho, wo), dtype=np.int32) if positions else None
     step = _pool_chunk(c, (h, w), x.itemsize)
     for n0 in range(0, n, step):
         xc = x[n0:n0 + step]

@@ -341,18 +341,21 @@ def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
                    batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Loss gradient with respect to the inputs, evaluated with the network
     in inference mode (dropout off) and without writing any gradient
-    buffers. labels must be one-hot. Returns (grad, network output at x)."""
-    grads, outs = [], []
+    buffers. labels must be one-hot. Returns (grad, network output at x);
+    grad is written batch by batch into one array in the net's dtype."""
+    grad, outs = None, []
     for lo in range(0, x.shape[0], batch_size):
         sl = slice(lo, lo + batch_size)
         outs.append(net.forward(x[sl], train=False))
         _, seed, top = _loss_seed(net, outs[-1], labels[sl], "input_gradient")
         dy0 = net.vjp_linear(seed, upto=top)
+        if grad is None:
+            grad = np.empty(x.shape[:1] + dy0.shape[1:], dtype=dy0.dtype)
         # undo the batch-mean factor so each row is that sample's own gradient
-        grads.append(dy0 * dy0.shape[0])
-        if not np.isfinite(grads[-1]).all():
+        np.multiply(dy0, dy0.shape[0], out=grad[sl])
+        if not np.isfinite(grad[sl]).all():
             raise NumericError("non-finite input gradient in input_gradient")
-    return np.concatenate(grads, axis=0), np.concatenate(outs, axis=0)
+    return grad, np.concatenate(outs, axis=0)
 
 
 def output_error(out: np.ndarray, labels: np.ndarray) -> float:

@@ -130,9 +130,9 @@ class TestCifar:
                               for v in (10, 20, 30)])
         write_cifar_batch(tmp_path / "b.bin", [7], img[None])
         ds = load_cifar10(tmp_path / "b.bin", mean_pixel=0.0)
-        np.testing.assert_allclose(ds.images[0, 0], 10 / 255.0, rtol=1e-12)
-        np.testing.assert_allclose(ds.images[0, 1], 20 / 255.0, rtol=1e-12)
-        np.testing.assert_allclose(ds.images[0, 2], 30 / 255.0, rtol=1e-12)
+        assert ds.images.dtype == np.float32
+        for channel, k in enumerate((10, 20, 30)):
+            np.testing.assert_array_equal(ds.images[0, channel], np.float32(k / 255.0))
         np.testing.assert_array_equal(ds.class_ids, [7])
 
     def test_multiple_batches_concatenate_in_order(self, tmp_path):
@@ -433,12 +433,24 @@ class TestBuiltinGlyphs:
             assert (tmp_path / GLYPHS_SUBDIR / name).exists()
 
 
+def assert_normalized_by_training_mean(folder, train, test):
+    """The pair read from the IDX files in folder is, exactly, the float64
+    mean of the training pixels / 255 and float32(pixels / 255 - that mean)
+    for both splits."""
+    raw = [read_idx(os.path.join(folder, name), 3).astype(np.float64) / 255.0
+           for name in (MNIST_FILES[0], MNIST_FILES[2])]
+    assert train.mean_pixel == test.mean_pixel == float(raw[0].mean())
+    for ds, pixels in zip((train, test), raw):
+        assert ds.images.dtype == np.float32
+        np.testing.assert_array_equal(
+            ds.images, (pixels - train.mean_pixel).astype(np.float32)[:, None])
+
+
 class TestLoadSplitPair:
-    def test_digits_pair_shares_training_mean(self, digits_pair):
+    def test_digits_pair_shares_training_mean(self, digits_dir, digits_pair):
         train, test = digits_pair
         assert len(train) == 1500 and len(test) == 297
-        assert test.mean_pixel == train.mean_pixel
-        assert abs(train.images.mean()) < 1e-12  # centered on its own mean
+        assert_normalized_by_training_mean(digits_dir, train, test)
         assert abs(test.images.mean()) > 0  # not re-centered
 
     def test_glyphs_pair_reads_its_subdirectory(self, glyphs_pair):
@@ -446,6 +458,26 @@ class TestLoadSplitPair:
         assert len(train) == 2000 and len(test) == 500
         assert test.mean_pixel == train.mean_pixel
         assert train.images.shape[1:] == (1, 28, 28)
+
+    def test_glyphs_pair_shares_training_mean(self, glyphs_dir, glyphs_pair):
+        # the digits test above needs scikit-learn; this one runs on NumPy alone
+        train, test = glyphs_pair
+        assert_normalized_by_training_mean(os.path.join(glyphs_dir, GLYPHS_SUBDIR),
+                                           train, test)
+
+    def test_peak_memory_within_two_float64_training_sets(self, glyphs_dir):
+        # loading holds one float64 copy of the training split and its
+        # float32 cast (1.5 copies, plus the file's bytes); a second float64
+        # array, such as separate scaled and mean-subtracted copies, exceeds
+        # the bound
+        tracemalloc.start()
+        try:
+            train, _ = load_split_pair(glyphs_dir, "glyphs")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copies = peak / (train.images.size * 8)
+        assert copies <= 2.0, f"{copies:.2f} float64 copies of the training images"
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(ConfigError, match="missing dataset files"):

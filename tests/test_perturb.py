@@ -1,7 +1,8 @@
 """Corrupted-testset and sweep tests: zero-level identity, per-level
-determinism, and the CSV row schema."""
+determinism, the CSV row schema, and levels corrupted one batch at a time."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ibpnet.perturb import (
     gaussian_testset,
     sweep,
 )
-from ibpnet.presets import acceptance_net
+from ibpnet.presets import acceptance_net, build_net
 from ibpnet.training import adversarial_shift, error_rate, input_gradient
 
 from batches import make_batch
@@ -144,3 +145,60 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1:] == rows
+
+
+LEVELS = {"gaussian": [0.0, 0.5, 2.0], "adversarial": [0.0, 0.1, 0.3]}
+
+
+class TestStreamedSweep:
+    """Each level is corrupted one eval batch at a time."""
+
+    @pytest.fixture()
+    def net_and_set(self):
+        rng = np.random.default_rng(11)
+        x, labels = make_batch(rng, 150, (1, 7, 7), 16)
+        return acceptance_net(0), x, labels
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_errors_do_not_depend_on_batch_size(self, net_and_set, kind):
+        net, x, labels = net_and_set
+        runs = [sweep(net, x, labels, kind, LEVELS[kind], seed=3, batch_size=b).errors
+                for b in (7, 64, len(x))]
+        assert runs[0] == runs[1] == runs[2]
+        assert len(set(runs[0])) > 1  # the levels really differ
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_net_sees_the_whole_set_corruption(self, net_and_set, kind, monkeypatch):
+        net, x, labels = net_and_set
+        level = LEVELS[kind][1]
+        if kind == "gaussian":
+            want = gaussian_testset(x, level, seed=3)
+        else:
+            want = adversarial_shift(x, input_gradient(net, x, labels)[0], level)
+        seen = []
+        predict = net.predict
+        monkeypatch.setattr(net, "predict", lambda xb: seen.append(xb.copy()) or predict(xb))
+        sweep(net, x, labels, kind, [0.0, level], seed=3, batch_size=7)
+        got = np.concatenate(seen[-math.ceil(len(x) / 7):])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    # the adversarial sweep keeps the float32 gradient of every image, half a
+    # copy, for all its levels; one corrupted copy of the set per level, or
+    # its noise, would exceed either bound
+    @pytest.mark.parametrize("kind, copies", [("gaussian", 0.5), ("adversarial", 0.75)])
+    def test_peak_memory_below_copies_of_the_set(self, kind, copies):
+        # a float32 net on float32 images, as datasets store them; one copy is
+        # the set in float64
+        net = build_net("mnist-tiny", 0)
+        rng = np.random.default_rng(12)
+        x = rng.random((2000, 1, 28, 28), dtype=np.float32)
+        labels = np.eye(10)[rng.integers(0, 10, size=2000)]
+        tracemalloc.start()
+        try:
+            sweep(net, x, labels, kind, [0.0, 0.1], seed=0, batch_size=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        used = peak / (x.size * 8)
+        assert used < copies, f"{used:.2f} float64 copies of the set"
