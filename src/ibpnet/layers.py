@@ -15,6 +15,8 @@ A subclass defines:
   dropout mask) are reused from the forward cache rather than recomputed.
 * ``weight_grad(a, dy) -> (dw, db)``, on parametric layers only: contract a
   layer input with an output cotangent.
+* ``kind`` and ``fields``: its model-file record, which ``spec()`` writes
+  and ``network.layer_from_spec`` reads back.
 
 Weight layers hold their weights in the dtype they were built with and cast
 every array that enters them to it: inputs, tangents, cotangents and seeds,
@@ -48,6 +50,7 @@ from .tensor import (
     maxpool_scatter,
     meanpool_backward,
     meanpool_forward,
+    rng_stream,
 )
 
 
@@ -62,6 +65,11 @@ class Layer:
     (``vjp_linear``, ``jvp``) and, on parametric layers, ``weight_grad``."""
 
     has_params = False
+    # the model-file record: the layer's kind and the constructor arguments
+    # it holds, each kept under its own name as an attribute (tuples are
+    # written as JSON arrays)
+    kind: str
+    fields: tuple = ()
     # caches of parametric layers: forward input, backward cotangent and
     # tangent input (as weight_grad takes them), and the main gradients
     x = cot_out = tan_in = dw = db = None
@@ -101,20 +109,21 @@ class Layer:
         self.aux_dw += self.weight_grad(t, c)[0]
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The model-file record: kind, declared fields, non-float64 dtype."""
+        rec = {"kind": self.kind, **{name: getattr(self, name) for name in self.fields}}
+        if self.has_params and self.w.dtype != np.float64:
+            rec["dtype"] = self.w.dtype.name
+        return rec
 
     def cast(self, a) -> np.ndarray:
         """a in the weights' dtype (weight layers only); no copy if it already is."""
         return np.asarray(a, dtype=self.w.dtype)
 
-    def dtype_spec(self) -> dict:
-        """The weights' dtype as a spec entry, present only when not float64."""
-        return {} if self.w.dtype == np.float64 else {"dtype": self.w.dtype.name}
-
 
 class FullyConnected(Layer):
     """Affine map y = flatten(x) @ w + b with He-initialized weights."""
 
+    kind, fields = "fc", ("in_features", "out_features")
     has_params = True
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
@@ -151,26 +160,23 @@ class FullyConnected(Layer):
     def weight_grad(self, a, dy):
         return a.T @ dy, dy.sum(axis=0)
 
-    def spec(self):
-        return {"kind": "fc", "in_features": self.in_features,
-                "out_features": self.out_features, **self.dtype_spec()}
-
 
 class Conv2D(Layer):
     """Cross-correlation with F filters of shape (C, kh, kw), He-initialized."""
 
+    kind, fields = "conv", ("in_channels", "filters", "kernel", "pad", "stride")
     has_params = True
 
     def __init__(self, in_channels: int, filters: int, kernel, pad, stride,
                  rng: np.random.Generator, dtype=np.float64):
-        kh, kw = kernel
-        if min(in_channels, filters, kh, kw) <= 0:
-            raise ConfigError("conv extents must be positive")
+        (kh, kw), (ph, pw), (sh, sw) = kernel, pad, stride
+        if min(in_channels, filters, kh, kw, sh, sw) <= 0 or min(ph, pw) < 0:
+            raise ConfigError("conv extents and strides must be positive, pads non-negative")
         self.in_channels = in_channels
         self.filters = filters
         self.kernel = (kh, kw)
-        self.pad = tuple(pad)
-        self.stride = tuple(stride)
+        self.pad = (ph, pw)
+        self.stride = (sh, sw)
         fan_in = in_channels * kh * kw
         self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                             size=(filters, in_channels, kh, kw)).astype(dtype, copy=False)
@@ -198,23 +204,12 @@ class Conv2D(Layer):
     def weight_grad(self, a, dy):
         return conv2d_weight_grad(a, dy, self.kernel, self.pad, self.stride)
 
-    def spec(self):
-        return {
-            "kind": "conv",
-            "in_channels": self.in_channels,
-            "filters": self.filters,
-            "kernel": list(self.kernel),
-            "pad": list(self.pad),
-            "stride": list(self.stride),
-            **self.dtype_spec(),
-        }
-
 
 class ReLU(Layer):
     """max(x, 0); the derivative at 0 is taken as 0."""
 
-    def __init__(self):
-        self.mask = None
+    kind = "relu"
+    mask = None
 
     def forward(self, x, train=False):
         self.mask = x > 0.0
@@ -227,15 +222,12 @@ class ReLU(Layer):
     def vjp_linear(self, dy):
         return dy * _need(self.mask, "relu mask")
 
-    def spec(self):
-        return {"kind": "relu"}
-
 
 class Sigmoid(Layer):
     """Elementwise logistic function."""
 
-    def __init__(self):
-        self.y = None
+    kind = "sigmoid"
+    y = None
 
     def forward(self, x, train=False):
         e = np.exp(-np.abs(x))
@@ -246,16 +238,13 @@ class Sigmoid(Layer):
         y = _need(self.y, "sigmoid output cache")
         return dy * (y * (1.0 - y))
 
-    def spec(self):
-        return {"kind": "sigmoid"}
-
 
 class Softmax(Layer):
     """Row softmax. Its Jacobian diag(y) - y y^T is symmetric, so the
     tangent push is the cotangent pull."""
 
-    def __init__(self):
-        self.y = None
+    kind = "softmax"
+    y = None
 
     def forward(self, x, train=False):
         # float64 whatever the input: in float32, exp underflows to 0 once a
@@ -271,12 +260,12 @@ class Softmax(Layer):
         y = _need(self.y, "softmax output cache")
         return y * (dy - (y * dy).sum(axis=1, keepdims=True))
 
-    def spec(self):
-        return {"kind": "softmax"}
 
+class _Pool2D(Layer):
+    """The window and stride that both pooling layers are built from."""
 
-class MaxPool2D(Layer):
-    """Ceil-mode max pooling; border windows are truncated to the image."""
+    fields = ("window", "stride")
+    in_hw = None
 
     def __init__(self, window, stride):
         kh, kw = window
@@ -285,8 +274,13 @@ class MaxPool2D(Layer):
             raise ConfigError("pool window and stride must be positive")
         self.window = (kh, kw)
         self.stride = (sh, sw)
-        self.argmax = None
-        self.in_hw = None
+
+
+class MaxPool2D(_Pool2D):
+    """Ceil-mode max pooling; border windows are truncated to the image."""
+
+    kind = "maxpool"
+    argmax = None
 
     def forward(self, x, train=False):
         self.in_hw = x.shape[2:]
@@ -304,21 +298,11 @@ class MaxPool2D(Layer):
     def vjp_linear(self, dy):
         return maxpool_scatter(dy, _need(self.argmax, "maxpool positions"), self.in_hw)
 
-    def spec(self):
-        return {"kind": "maxpool", "window": list(self.window), "stride": list(self.stride)}
 
-
-class MeanPool2D(Layer):
+class MeanPool2D(_Pool2D):
     """Ceil-mode mean pooling; truncated windows divide by their actual size."""
 
-    def __init__(self, window, stride):
-        kh, kw = window
-        sh, sw = stride
-        if min(kh, kw, sh, sw) <= 0:
-            raise ConfigError("pool window and stride must be positive")
-        self.window = (kh, kw)
-        self.stride = (sh, sw)
-        self.in_hw = None
+    kind = "meanpool"
 
     def forward(self, x, train=False):
         self.in_hw = x.shape[2:]
@@ -330,9 +314,6 @@ class MeanPool2D(Layer):
     def vjp_linear(self, dy):
         return meanpool_backward(dy, self.window, self.stride, _need(self.in_hw, "meanpool geometry"))
 
-    def spec(self):
-        return {"kind": "meanpool", "window": list(self.window), "stride": list(self.stride)}
-
 
 class Dropout(Layer):
     """Inverted dropout: at train time keep units with probability 1 - rate
@@ -340,14 +321,18 @@ class Dropout(Layer):
 
     The mask drawn by ``forward`` is reused by every subsequent pass over the
     same batch, so the three training passes see one consistent subnetwork.
+    Built without a generator, as a model file builds it, it draws from a
+    fixed stream.
     """
 
-    def __init__(self, rate: float, rng: np.random.Generator):
+    kind, fields = "dropout", ("rate",)
+    mask = None
+
+    def __init__(self, rate: float, rng: np.random.Generator | None = None):
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = rng
-        self.mask = None
+        self.rng = rng_stream(0, "dropout-load") if rng is None else rng
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
@@ -360,5 +345,3 @@ class Dropout(Layer):
     def vjp_linear(self, dy):
         return dy * _need(self.mask, "dropout mask")
 
-    def spec(self):
-        return {"kind": "dropout", "rate": self.rate}

@@ -6,9 +6,10 @@ Model file layout (all integers little-endian):
 * 7-byte magic ``IBPNET1``
 * uint32 layer count
 * per layer: uint32 record length, then that many bytes of JSON (sorted
-  keys) describing kind and geometry; a weight layer's record carries
-  ``"dtype"`` (``"float32"``) only when its weights are not float64, so a
-  record without it loads as float64
+  keys): the layer's ``kind`` and the ``fields`` its class declares in
+  ``layers.py``; a weight layer's record carries ``"dtype"``
+  (``"float32"``) only when its weights are not float64, so a record
+  without it loads as float64
 * then, for each parametric layer in declaration order, its weight tensor
   followed by its bias vector as raw little-endian values of that dtype, in
   C order.
@@ -39,6 +40,9 @@ from .layers import (
 from .tensor import rng_stream
 
 MAGIC = b"IBPNET1"
+# every layer kind a model file may hold, by the kind its records carry
+LAYER_CLASSES = {cls.kind: cls for cls in (
+    FullyConnected, Conv2D, ReLU, Sigmoid, Softmax, MaxPool2D, MeanPool2D, Dropout)}
 
 
 class Network:
@@ -175,30 +179,27 @@ class Network:
 
 
 def layer_from_spec(spec: dict, rng: np.random.Generator) -> Layer:
-    """Build one layer from its spec record; weights are freshly initialized."""
+    """Build one layer from its model-file record, which must hold exactly
+    the fields its kind declares (and, on a weight layer, an optional
+    ``"dtype"``); weights are freshly initialized from rng."""
+    if not isinstance(spec, dict):
+        raise FormatError(f"layer record {spec!r} is not a JSON object")
     kind = spec.get("kind")
-    if kind in ("fc", "conv"):
-        dtype = spec.get("dtype", "float64")
-        if dtype not in ("float32", "float64"):
-            raise FormatError(f"unknown weight dtype {dtype!r}")
-    if kind == "fc":
-        return FullyConnected(spec["in_features"], spec["out_features"], rng, dtype)
-    if kind == "conv":
-        return Conv2D(spec["in_channels"], spec["filters"], spec["kernel"],
-                      spec["pad"], spec["stride"], rng, dtype)
-    if kind == "relu":
-        return ReLU()
-    if kind == "sigmoid":
-        return Sigmoid()
-    if kind == "softmax":
-        return Softmax()
-    if kind == "maxpool":
-        return MaxPool2D(spec["window"], spec["stride"])
-    if kind == "meanpool":
-        return MeanPool2D(spec["window"], spec["stride"])
-    if kind == "dropout":
-        return Dropout(spec["rate"], rng_stream(0, "dropout-load"))
-    raise FormatError(f"unknown layer kind {kind!r}")
+    cls = LAYER_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise FormatError(f"unknown layer kind {kind!r}")
+    args = {k: v for k, v in spec.items() if k != "kind"}
+    weights = {"rng": rng, "dtype": args.pop("dtype", "float64")} if cls.has_params else {}
+    missing = [name for name in cls.fields if name not in args]
+    extra = sorted(set(args) - set(cls.fields))
+    if missing or extra:
+        raise FormatError(f"{kind} record: missing fields {missing}, undeclared fields {extra}")
+    if weights.get("dtype", "float64") not in ("float32", "float64"):
+        raise FormatError(f"unknown weight dtype {weights['dtype']!r}")
+    try:
+        return cls(**args, **weights)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{kind} record {spec!r} is rejected: {exc}") from exc
 
 
 def batched_forward(net: Network, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

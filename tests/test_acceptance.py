@@ -87,13 +87,14 @@ def test_criterion_01_every_algorithm_matches_finite_differences():
 
 def test_criterion_02_layer_identities_hold_on_every_layer_kind():
     """On a net with every layer kind: push through weight layers equals the
-    bias-free forward map exactly, push equals pull on the elementwise and
-    softmax layers to 1e-12, and <u, Jv> == <J^T u, v> everywhere to 1e-10."""
+    bias-free forward map exactly, every layer's push and pull equal those
+    of its frozen oracle to 1e-12, and <u, Jv> == <J^T u, v> everywhere to
+    1e-10."""
     net = zoo_net(0)
     x, _ = synth_batch(0, 4, (1, 9, 9), 5)
     reports = {rep.name: rep for rep in check_layer_identities(net, x)}
     assert reports["linear-layer/push-is-forward"].tol == 0.0
-    assert reports["symmetric-jacobian/push-is-pull"].tol == 1e-12
+    assert reports["frozen-oracle/push-and-pull"].tol == 1e-12
     assert reports["adjoint-identity"].tol == 1e-10
     failed = [rep.line() for rep in reports.values() if not rep.passed]
     assert not failed, "\n".join(failed)

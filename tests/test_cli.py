@@ -221,6 +221,16 @@ class TestEvalNoise:
         assert main(args) == 2
         assert "model file not found" in capsys.readouterr().err
 
+    def test_malformed_layer_record_exit_2(self, tmp_path, capsys):
+        # the model loads before any data, so no dataset is needed
+        rec = json.dumps({"kind": "fc", "in_features": 4}).encode()
+        model = tmp_path / "bad.ibpnet"
+        model.write_bytes(b"IBPNET1" + struct.pack("<II", 1, len(rec)) + rec)
+        args = ["eval-noise", "--model", str(model), "--noise", "gaussian",
+                "--levels", "0,0.1", "--data-dir", str(tmp_path / "no-data")]
+        assert main(args) == 2
+        assert "fc record: missing fields ['out_features']" in capsys.readouterr().err
+
     def test_bad_levels_exit_2(self, glyphs_dir, trained_model, capsys):
         for levels in ("0.1,0.2", "0,0.2,0.1", "abc"):
             args = ["eval-noise", "--model", trained_model, "--noise", "gaussian",

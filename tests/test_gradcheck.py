@@ -21,6 +21,7 @@ from ibpnet.gradcheck import (
     all_passed,
     check_aux_grad_fd,
     check_fast_at_firstorder,
+    check_layer_identities,
     check_main_grad_fd,
     check_noise_injection,
     compare_tensors,
@@ -28,9 +29,9 @@ from ibpnet.gradcheck import (
     format_reports,
     rel_error,
 )
-from ibpnet.layers import FullyConnected
+from ibpnet.layers import FullyConnected, ReLU
 from ibpnet.network import Network
-from ibpnet.presets import acceptance_net
+from ibpnet.presets import acceptance_net, zoo_net
 from ibpnet.tensor import conv2d, conv2d_input_grad, maxpool_forward
 from ibpnet.training import TrainConfig
 
@@ -287,6 +288,19 @@ class TestCheckVerdicts:
         monkeypatch.setattr(losses, "sign", lambda t: (1.0 + 1e-5) * np.sign(t))
         rep = check_aux_grad_fd(net, batch, cfg)
         assert not rep.passed, rep.line()
+
+    def test_frozen_oracle_fails_an_inverted_relu_mask(self, monkeypatch):
+        # push is pull on a relu, so the adjoint identity holds either way;
+        # only the oracle's own mask tells the inverted one from the right one
+        net = zoo_net(0)
+        x, _ = _synthetic_batch(net, (1, 9, 9), 5, 0)
+        name = "frozen-oracle/push-and-pull"
+        assert {r.name: r for r in check_layer_identities(net, x)}[name].passed
+        monkeypatch.setattr(ReLU, "vjp_linear", lambda self, dy: dy * ~self.mask)
+        reports = {r.name: r for r in check_layer_identities(net, x)}
+        assert not reports[name].passed, reports[name].line()
+        assert "ReLU" in reports[name].worst
+        assert reports["adjoint-identity"].passed
 
 
 class TestReportHelpers:

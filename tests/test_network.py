@@ -233,6 +233,19 @@ class TestModelFile:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "0a6a1cca608d20d2ee9f6e4281222b11e8e9bbdd6bd567258f7b0be1ed3e71a5")
 
+    @pytest.mark.parametrize("build, digest", [
+        # every layer kind, float64
+        (lambda: zoo_net(3), "0653020f90a25a88cb2c83070c1281e8bc909a3d4ebb81933f89251c7103a3a9"),
+        # float32 weight layers, whose records carry "dtype"
+        (lambda: mnist_paper_net(1),
+         "7cf1fc397f86183944312d6a45abb10357fec9bb5f99d164e0e31258568db1b0"),
+    ], ids=["zoo_net-3", "mnist_paper_net-1"])
+    def test_untrained_file_bytes_unchanged(self, tmp_path, build, digest):
+        # untrained weights come from PCG64 draws and casts only, not BLAS
+        path = tmp_path / "model.ibpnet"
+        build().save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_float32_roundtrip_resaves_byte_identical(self, tmp_path):
         net = mnist_paper_net(1)
         a, b = tmp_path / "a.ibpnet", tmp_path / "b.ibpnet"
@@ -313,3 +326,22 @@ class TestLayerFromSpec:
     def test_unknown_kind(self):
         with pytest.raises(FormatError, match="unknown layer kind"):
             layer_from_spec({"kind": "attention"}, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("record, message", [
+        (["fc", 4, 3], "not a JSON object"),
+        ({"kind": ["fc"]}, "unknown layer kind"),
+        ({"kind": "fc", "in_features": 4}, r"fc record: missing fields \['out_features'\]"),
+        ({"kind": "relu", "junk": 1}, r"relu record: .* undeclared fields \['junk'\]"),
+        ({"kind": "maxpool", "window": [2, 2], "stride": [2, 2], "dtype": "float32"},
+         r"maxpool record: .* undeclared fields \['dtype'\]"),
+        ({"kind": "maxpool", "window": 3, "stride": [2, 2]},
+         r"maxpool record .*'window': 3.* is rejected"),
+        ({"kind": "conv", "in_channels": 1, "filters": 2, "kernel": [3, 3],
+          "pad": [1], "stride": [1, 1]}, r"conv record .*'pad': \[1\].* is rejected"),
+        ({"kind": "fc", "in_features": 0, "out_features": 3}, "fc record .* is rejected"),
+        ({"kind": "dropout", "rate": "0.5"}, "dropout record .* is rejected"),
+    ], ids=["list", "unhashable-kind", "missing-field", "undeclared-field",
+            "dtype-off-weights", "bad-window", "bad-pad", "zero-extent", "string-rate"])
+    def test_malformed_record_is_a_format_error(self, record, message):
+        with pytest.raises(FormatError, match=message):
+            layer_from_spec(record, np.random.default_rng(0))
