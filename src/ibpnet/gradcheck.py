@@ -305,17 +305,29 @@ def check_main_grad_fd(net: Network, batch, cfg: TrainConfig, h: float = 1e-5) -
 # Check: auxiliary weight gradients vs finite differences of the frozen chain
 # ---------------------------------------------------------------------------
 
+def step_aux(net: Network, batch, cfg: TrainConfig, tangents=None):
+    """(StepResult, auxiliary weight gradients) of run_step; where the step
+    folds beta * aux_dw into dw (loss-ibp, fast-tbp), (dw - bp's dw) / beta."""
+    res = run_step(net, batch, cfg, tangents)
+    if res.grads.aux_dw is not None:
+        return res, res.grads.aux_dw
+    if cfg.beta == 0.0:
+        raise ConfigError(f"{cfg.algo} at beta 0 folds no auxiliary term into dw")
+    main = run_step(net, batch, TrainConfig(algo="bp")).grads.dw
+    return res, [(d - m) / cfg.beta for d, m in zip(res.grads.dw, main)]
+
+
 def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None) -> CheckReport:
-    """aux_dw of the training step (run_step) against central differences of
-    the frozen-chain penalty. The r=1 signs are frozen at the base weights
-    like the other data-dependent pieces, so the penalty is linear in each
+    """The step's auxiliary weight gradients (step_aux) against central
+    differences of the frozen-chain penalty, whose r=1 signs are frozen at the
+    base weights like the other data-dependent pieces: it is linear in each
     weight at r=1 (and for fast-tbp's dot penalty) and quadratic at r=2."""
     if cfg.algo not in REGULARIZED:
         raise ConfigError(f"{cfg.algo} has no auxiliary gradients to check")
     x, labels = batch
     n = x.shape[0]
     name = f"aux-fd/{cfg.algo}" + ("" if cfg.algo == "fast-tbp" else f"/r{cfg.r}")
-    aux = run_step(net, batch, cfg, tangents).grads.aux_dw
+    aux = step_aux(net, batch, cfg, tangents)[1]
     _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
     chain = FrozenChain(net, x, upto=top)
 
@@ -391,12 +403,12 @@ def check_layer_identities(net: Network, x, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 
 def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
-    """The fast-tbp step's one push (dot penalty, cached cotangents) against
-    the four-pass route (push, dot with the top seed, pull); agreement
-    within 1e-10."""
+    """The fast-tbp step's one push (dot penalty, cached cotangents, folded
+    into dw at beta 1 and taken back out by step_aux) against the four-pass
+    route (push, dot with the top seed, pull); agreement within 1e-10."""
     x, labels = batch
-    cfg = TrainConfig(algo="fast-tbp")
-    fast = run_step(net, batch, cfg, [tangent])
+    cfg = TrainConfig(algo="fast-tbp", beta=1.0)
+    fast, fast_aux = step_aux(net, batch, cfg, [tangent])
     _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
 
     net.zero_aux()
@@ -405,7 +417,7 @@ def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
     net.lin_vjp(seed, upto=top)
     four = [l.aux_dw for l in net.param_layers]
 
-    pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(fast.grads.aux_dw, four))]
+    pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(fast_aux, four))]
     pairs.append(("aux-loss", np.array([fast.aux_loss]), np.array([val])))
     return compare_tensors("equivalence/fast-tbp", pairs, 1e-10)
 

@@ -30,10 +30,8 @@ From these the base ``Layer`` builds:
   ``cot_out`` and fills ``dw``/``db``, then pulls back unless ``pull`` is False.
 * ``lin_vjp(delta, pull=True)``: accumulate ``aux_dw`` against the tangent
   input cached by ``jvp``, then pull back unless ``pull`` is False.
-* ``aux_from_cot()``: the cheap alternative to ``lin_vjp``. It contracts the
-  cached tangent input with the cotangent cached by ``vjp``, which yields
-  the auxiliary weight gradient directly when the auxiliary loss is a
-  function of the input cotangent.
+* ``vjp(dy, _dw=False)`` caches ``cot_out`` only: ``Network.aux_from_cot``
+  then fills ``dw``/``db`` with an auxiliary term folded in.
 """
 
 from __future__ import annotations
@@ -58,6 +56,13 @@ def _need(cache, what: str):
     if cache is None:
         raise StateError(f"{what} requested before the pass that populates it")
     return cache
+
+
+def _he_init(rng, fan_in: int, shape, dtype) -> np.ndarray:
+    """He-normal draws in float64 cast to dtype; zeros without a generator."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype, copy=False)
 
 
 class Layer:
@@ -87,13 +92,13 @@ class Layer:
     def jvp(self, v: np.ndarray) -> np.ndarray:
         return self.vjp_linear(v)
 
-    def vjp(self, dy: np.ndarray, pull: bool = True) -> np.ndarray | None:
-        """Backward pass; pull=False skips the pull, for the lowest weight layer."""
+    def vjp(self, dy: np.ndarray, pull: bool = True, _dw: bool = True) -> np.ndarray | None:
+        """Backward pass; pull=False skips the pull, _dw=False the contraction."""
         if self.has_params:
             x = _need(self.x, f"{type(self).__name__} input cache")
             dy = self.cast(dy)
             self.cot_out = dy
-            self.dw, self.db = self.weight_grad(x, dy)
+            self.dw, self.db = self.weight_grad(x, dy) if _dw else (None, None)
         return self.vjp_linear(dy) if pull else None
 
     def lin_vjp(self, delta: np.ndarray, pull: bool = True) -> np.ndarray | None:
@@ -102,11 +107,6 @@ class Layer:
             delta = self.cast(delta)
             self.aux_dw += self.weight_grad(t, delta)[0]
         return self.vjp_linear(delta) if pull else None
-
-    def aux_from_cot(self):
-        t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
-        c = _need(self.cot_out, f"{type(self).__name__} cotangent cache")
-        self.aux_dw += self.weight_grad(t, c)[0]
 
     def spec(self) -> dict:
         """The model-file record: kind, declared fields, non-float64 dtype."""
@@ -126,15 +126,13 @@ class FullyConnected(Layer):
     kind, fields = "fc", ("in_features", "out_features")
     has_params = True
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator | None, dtype=np.float64):
         if in_features <= 0 or out_features <= 0:
             raise ConfigError(f"fc extents must be positive, got {in_features}x{out_features}")
         self.in_features = in_features
         self.out_features = out_features
-        # drawn in float64, then cast: every dtype gets the same draws
-        self.w = rng.normal(0.0, np.sqrt(2.0 / in_features),
-                            size=(in_features, out_features)).astype(dtype, copy=False)
+        self.w = _he_init(rng, in_features, (in_features, out_features), dtype)
         self.b = np.zeros(out_features, dtype=dtype)
         self.aux_dw = np.zeros_like(self.w)
         self.x_shape = None
@@ -168,7 +166,7 @@ class Conv2D(Layer):
     has_params = True
 
     def __init__(self, in_channels: int, filters: int, kernel, pad, stride,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator | None, dtype=np.float64):
         (kh, kw), (ph, pw), (sh, sw) = kernel, pad, stride
         if min(in_channels, filters, kh, kw, sh, sw) <= 0 or min(ph, pw) < 0:
             raise ConfigError("conv extents and strides must be positive, pads non-negative")
@@ -177,9 +175,7 @@ class Conv2D(Layer):
         self.kernel = (kh, kw)
         self.pad = (ph, pw)
         self.stride = (sh, sw)
-        fan_in = in_channels * kh * kw
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                            size=(filters, in_channels, kh, kw)).astype(dtype, copy=False)
+        self.w = _he_init(rng, in_channels * kh * kw, (filters, in_channels, kh, kw), dtype)
         self.b = np.zeros(filters, dtype=dtype)
         self.aux_dw = np.zeros_like(self.w)
         self.in_hw = None

@@ -36,8 +36,8 @@ from .layers import (
     ReLU,
     Sigmoid,
     Softmax,
+    _need,
 )
-from .tensor import rng_stream
 
 MAGIC = b"IBPNET1"
 # every layer kind a model file may hold, by the kind its records carry
@@ -67,15 +67,15 @@ class Network:
         return x
 
     def vjp(self, dy: np.ndarray, upto: int | None = None,
-            pull: bool = True) -> np.ndarray | None:
+            pull: bool = True, _dw: bool = True) -> np.ndarray | None:
         """Backward pass over layers[:upto]; fills dw/db and cot_out on
         parametric layers and returns the cotangent at the network input.
         With pull=False no caller reads it: the pass ends at the lowest weight
         layer, which skips its pull, and returns None. upto lets a loss seed
         the pass below the top layer (e.g. below a final softmax when the
-        seed already includes its Jacobian)."""
+        seed already includes its Jacobian). _dw=False: see aux_from_cot."""
         for layer, layer_pull in self._top_down(upto, pull):
-            dy = layer.vjp(dy, pull=layer_pull)
+            dy = layer.vjp(dy, pull=layer_pull, _dw=_dw)
         return dy if pull else None
 
     def vjp_linear(self, dy: np.ndarray, upto: int | None = None) -> np.ndarray:
@@ -115,12 +115,16 @@ class Network:
         for layer in self.param_layers:
             layer.aux_dw = np.zeros_like(layer.w)
 
-    def aux_from_cot(self):
-        """Auxiliary weight gradients as tangent-input x main-cotangent
-        contractions (valid when the auxiliary loss acts on the input
-        cotangent of the main backward pass)."""
+    def aux_from_cot(self, beta: float):
+        """dw, db = weight_grad(x + beta * tan_in, cot_out) per weight layer:
+        bp's dw plus beta times the auxiliary gradient of a loss on the input
+        cotangent of vjp(_dw=False), in one contraction. At beta 0 or with an
+        all-zero tan_in, x alone is contracted, bitwise as by bp."""
         for layer in self.param_layers:
-            layer.aux_from_cot()
+            a, t, c = (_need(getattr(layer, k), f"{type(layer).__name__} {k} cache")
+                       for k in ("x", "tan_in", "cot_out"))
+            a = layer.cast(a + beta * t) if beta != 0.0 and t.any() else a
+            layer.dw, layer.db = layer.weight_grad(a, c)
 
     def params(self):
         return [(l.w, l.b) for l in self.param_layers]
@@ -164,7 +168,7 @@ class Network:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"{path}: undecodable layer record") from exc
             off += rec_len
-        net = cls([layer_from_spec(s, rng_stream(0, "load-init")) for s in specs])
+        net = cls([layer_from_spec(s, None) for s in specs])
         for layer in net.param_layers:
             for tensor in (layer.w, layer.b):
                 nbytes = tensor.nbytes
@@ -178,10 +182,10 @@ class Network:
         return net
 
 
-def layer_from_spec(spec: dict, rng: np.random.Generator) -> Layer:
+def layer_from_spec(spec: dict, rng: np.random.Generator | None) -> Layer:
     """Build one layer from its model-file record, which must hold exactly
     the fields its kind declares (and, on a weight layer, an optional
-    ``"dtype"``); weights are freshly initialized from rng."""
+    ``"dtype"``); weights are drawn from rng, or zeros without one."""
     if not isinstance(spec, dict):
         raise FormatError(f"layer record {spec!r} is not a JSON object")
     kind = spec.get("kind")

@@ -6,8 +6,9 @@ cotangent dy0. The regularized variants add passes over the network
 *linearized at the current batch*:
 
 * loss-ibp: one tangent push seeded by the gradient of an lp penalty on the
-  input cotangent; auxiliary weight gradients come directly from contracting
-  the pushed tangents with the cotangents cached by the main backward pass.
+  input cotangent; the auxiliary weight gradient contracts the pushed
+  tangents with the cotangents cached by the main backward pass, folded into
+  dw by one contraction of x + beta * tangent per weight layer.
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
   penalty there, and a pull down to the lowest weight layer accumulating
   auxiliary gradients. The prediction layer is the one the loss is seeded at
@@ -15,7 +16,7 @@ cotangent dy0. The regularized variants add passes over the network
   same layers. pred-ibp is exactly tbp with dy0 as its single tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
-  the four-pass route becomes one push plus cached-cotangent contractions.
+  the four-pass route becomes one push plus the folded contractions.
 * at / fast-at: a second forward/backward at x + epsilon * sign(dy0), not
   clipped; at averages both gradient sets, fast-at keeps only the second.
 
@@ -94,7 +95,7 @@ class TrainConfig:
 @dataclass
 class GradientSet:
     """Per-layer main gradients captured after a step, plus the auxiliary
-    weight gradients of the regularized steps (None for bp, at, fast-at)."""
+    weight gradients of pred-ibp and tbp (None else; see SgdMomentum)."""
 
     dw: list = field(default_factory=list)
     db: list = field(default_factory=list)
@@ -151,10 +152,11 @@ def _loss_seed(net: Network, out, labels, caller: str):
 
 
 def _main_passes(net: Network, x, labels, cfg: TrainConfig, train: bool = True,
-                 pull: bool = True):
-    """Forward, loss, backward (see Network.vjp). Returns (L, dy0, top_index)."""
+                 pull: bool = True, fold: bool = False):
+    """Forward, loss, backward (see Network.vjp); fold leaves dw and db to
+    Network.aux_from_cot. Returns (L, dy0, top_index)."""
     loss, seed, top = _forward_loss(net, x, labels, cfg, train)
-    dy0 = net.vjp(seed, upto=top, pull=pull)
+    dy0 = net.vjp(seed, upto=top, pull=pull, _dw=not fold)
     return loss, dy0, top
 
 
@@ -170,12 +172,11 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
 
     The third pass pushes the penalty gradient forward through the
     linearized network (mirroring exactly the layers the backward pass
-    traversed); auxiliary weight gradients are tangent-times-cotangent
-    contractions, so no extra backward pass is needed.
+    traversed); one contraction of x + beta * tangent with the cached
+    cotangent per weight layer then gives dw + beta * aux_dw.
     """
     x, labels = batch
-    loss, dy0, top = _main_passes(net, x, labels, cfg)
-    net.zero_aux()
+    loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
     raw, seed = aux_loss_lp(dy0, cfg.r)
     if cfg.r == 2:
         # dy0 carries 1/batch; rescale so the penalty is the batch mean of
@@ -183,8 +184,8 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
         n = x.shape[0]
         raw, seed = n * raw, n * seed
     net.jvp(seed, upto=top)
-    net.aux_from_cot()
-    return StepResult(loss, raw, GradientSet.capture(net, aux=True))
+    net.aux_from_cot(cfg.beta)
+    return StepResult(loss, raw, GradientSet.capture(net))
 
 
 def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> float:
@@ -235,15 +236,14 @@ def step_fast_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
     in the tangent, so the summed tangent takes one forward push through the
     linearized network in place of one push per tangent. The auxiliary
     weight gradients reuse the cached main cotangents, saving the backward
-    pass of the original form.
+    pass of the original form, and are folded into dw as in loss-ibp.
     """
     x, labels = batch
-    loss, dy0, top = _main_passes(net, x, labels, cfg)
-    net.zero_aux()
+    loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
     aux, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
     net.jvp(seed, upto=top)
-    net.aux_from_cot()
-    return StepResult(loss, aux, GradientSet.capture(net, aux=True))
+    net.aux_from_cot(cfg.beta)
+    return StepResult(loss, aux, GradientSet.capture(net))
 
 
 def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float) -> np.ndarray:
@@ -295,8 +295,8 @@ def run_step(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult
 
 class SgdMomentum:
     """Classical momentum: v <- m*v + g; w <- w - alpha_t*v, with the
-    learning rate decayed per epoch as alpha * decay**epoch. The combined
-    direction is g = dw + beta*aux_dw for weights and db for biases."""
+    learning rate decayed per epoch as alpha * decay**epoch. g is db for
+    biases and dw + beta*aux_dw for weights (dw where aux_dw is None)."""
 
     def __init__(self, net: Network, cfg: TrainConfig):
         self.cfg = cfg

@@ -21,6 +21,7 @@ from ibpnet.gradcheck import (
     all_passed,
     check_aux_grad_fd,
     check_fast_at_firstorder,
+    check_fast_tbp_equivalence,
     check_layer_identities,
     check_main_grad_fd,
     check_noise_injection,
@@ -29,10 +30,10 @@ from ibpnet.gradcheck import (
     format_reports,
     rel_error,
 )
-from ibpnet.layers import FullyConnected, ReLU
+from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network
 from ibpnet.presets import acceptance_net, zoo_net
-from ibpnet.tensor import conv2d, conv2d_input_grad, maxpool_forward
+from ibpnet.tensor import conv2d, conv2d_input_grad, maxpool_forward, rng_stream
 from ibpnet.training import TrainConfig
 
 from batches import make_batch
@@ -288,6 +289,47 @@ class TestCheckVerdicts:
         monkeypatch.setattr(losses, "sign", lambda t: (1.0 + 1e-5) * np.sign(t))
         rep = check_aux_grad_fd(net, batch, cfg)
         assert not rep.passed, rep.line()
+
+    @pytest.mark.parametrize("algo, r", [("loss-ibp", 1), ("loss-ibp", 2), ("fast-tbp", 1)])
+    def test_aux_fd_fails_a_folded_term_off_by_1e_5(self, monkeypatch, algo, r):
+        # the step folds beta * aux_dw into dw; the check takes bp's dw back
+        # out and judges the auxiliary term alone, so a fold with
+        # beta * (1 + 1e-5) fails it however small beta * aux_dw is beside dw
+        net = acceptance_net(0)
+        batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
+        rng = rng_stream(0, "checks/tangents")
+        tangents = [rng.normal(0.0, 0.5, size=batch[0].shape) for _ in range(2)]
+        cfg = TrainConfig(algo=algo, beta=0.1, r=r)
+        assert check_aux_grad_fd(net, batch, cfg, tangents).passed
+        fold = Network.aux_from_cot
+        monkeypatch.setattr(Network, "aux_from_cot",
+                            lambda self, beta: fold(self, beta * (1.0 + 1e-5)))
+        rep = check_aux_grad_fd(net, batch, cfg, tangents)
+        assert not rep.passed, rep.line()
+
+    def test_fast_tbp_equivalence_fails_a_fold_with_another_layers_cotangent(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        net = Network([FullyConnected(6, 6, rng), ReLU(), FullyConnected(6, 6, rng), Softmax()])
+        batch = make_batch(rng, 4, (6,), 6)
+        tangent = rng.normal(size=batch[0].shape)
+        assert check_fast_tbp_equivalence(net, batch, tangent).passed
+
+        def crossed_fold(self, beta):
+            # each weight layer's tangent input meets the other one's cotangent
+            layers = self.param_layers
+            for layer, other in zip(layers, layers[::-1]):
+                layer.dw, layer.db = layer.weight_grad(layer.x, layer.cot_out)
+                layer.dw = layer.dw + beta * layer.weight_grad(layer.tan_in, other.cot_out)[0]
+
+        monkeypatch.setattr(Network, "aux_from_cot", crossed_fold)
+        rep = check_fast_tbp_equivalence(net, batch, tangent)
+        assert not rep.passed, rep.line()
+
+    def test_folded_aux_needs_a_nonzero_beta(self):
+        net = acceptance_net(0)
+        batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
+        with pytest.raises(ConfigError, match="at beta 0"):
+            check_aux_grad_fd(net, batch, TrainConfig(algo="loss-ibp", beta=0.0))
 
     def test_frozen_oracle_fails_an_inverted_relu_mask(self, monkeypatch):
         # push is pull on a relu, so the adjoint identity holds either way;

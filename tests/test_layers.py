@@ -15,6 +15,7 @@ from ibpnet.layers import (
     Sigmoid,
     Softmax,
 )
+from ibpnet.network import Network
 from ibpnet.presets import zoo_net
 
 
@@ -80,22 +81,24 @@ class TestFullyConnected:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_aux_paths_agree_and_accumulate(self):
-        # lin_vjp and aux_from_cot contract the same cached pair, so the
-        # auxiliary weight gradients they produce are identical.
+        # lin_vjp contracts the cached tangent input with the cotangent it is
+        # given; the fold contracts x + beta * tangent input with the
+        # cotangent cached by vjp, so it adds beta times that to bp's dw
         rng = np.random.default_rng(4)
         fc = FullyConnected(6, 4, rng)
         x = rng.normal(size=(3, 6))
         dy = rng.normal(size=(3, 4))
         fc.forward(x)
         fc.vjp(dy)
+        dw, db = fc.dw, fc.db
         fc.jvp(rng.normal(size=(3, 6)))
-        fc.aux_from_cot()
-        direct = fc.aux_dw.copy()
-        fc.aux_dw[:] = 0.0
         fc.lin_vjp(dy)
-        np.testing.assert_array_equal(fc.aux_dw, direct)
+        Network([fc]).aux_from_cot(0.5)
+        np.testing.assert_allclose(fc.dw, dw + 0.5 * fc.aux_dw, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(fc.db, db)
+        once = fc.aux_dw.copy()
         fc.lin_vjp(dy)
-        np.testing.assert_array_equal(fc.aux_dw, 2.0 * direct)
+        np.testing.assert_array_equal(fc.aux_dw, 2.0 * once)
 
     def test_he_init_stats(self):
         rng = np.random.default_rng(5)
@@ -142,12 +145,12 @@ class TestConv2DLayer:
         dy = rng.normal(size=(2, 3, 3, 3))
         conv.forward(x)
         conv.vjp(dy)
+        dw, db = conv.dw, conv.db
         conv.jvp(rng.normal(size=x.shape))
-        conv.aux_from_cot()
-        direct = conv.aux_dw.copy()
-        conv.aux_dw[:] = 0.0
         conv.lin_vjp(dy)
-        np.testing.assert_array_equal(conv.aux_dw, direct)
+        Network([conv]).aux_from_cot(0.5)
+        np.testing.assert_allclose(conv.dw, dw + 0.5 * conv.aux_dw, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(conv.db, db)
 
     def test_shape_errors(self):
         rng = np.random.default_rng(10)
@@ -355,7 +358,7 @@ class TestCacheLifetimes:
         with pytest.raises(StateError):
             fc.lin_vjp(np.ones((2, 3)))  # no jvp yet, no cached tangent
         with pytest.raises(StateError):
-            fc.aux_from_cot()
+            Network([fc]).aux_from_cot(0.1)
 
 
 PULL_CASES = [
@@ -436,12 +439,13 @@ def every_pass(net):
     walk("vjp_linear", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp_linear(a))
     net.zero_aux()
     walk("lin_vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.lin_vjp(a))
-    for i, layer in layers:
-        if layer.has_params:
-            outs[i, "fc/conv", "lin_vjp aux_dw"] = layer.aux_dw.copy()
-            layer.aux_from_cot()
-            outs[i, "fc/conv", "aux_from_cot aux_dw"] = layer.aux_dw
-            outs[i, "fc/conv", "dw"], outs[i, "fc/conv", "db"] = layer.dw, layer.db
+    weight_layers = [(i, layer) for i, layer in layers if layer.has_params]
+    for i, layer in weight_layers:
+        outs[i, "fc/conv", "lin_vjp aux_dw"] = layer.aux_dw
+        outs[i, "fc/conv", "dw"], outs[i, "fc/conv", "db"] = layer.dw, layer.db
+    net.aux_from_cot(0.5)
+    for i, layer in weight_layers:
+        outs[i, "fc/conv", "aux_from_cot dw"] = layer.dw
     return outs
 
 

@@ -69,7 +69,7 @@ class TestPasses:
         net.forward(x)
         net.vjp(rng.normal(size=(4, 3)))
         net.jvp(rng.normal(size=x.shape), upto=-1)
-        net.aux_from_cot()
+        net.lin_vjp(rng.normal(size=(4, 3)), upto=-1)
         before = aux_dws(net)
         snapshot = [aw.copy() for aw in before]
         assert any(aw.any() for aw in before)
@@ -78,6 +78,45 @@ class TestPasses:
             np.testing.assert_array_equal(old, snap)  # old buffer untouched
         for aw in aux_dws(net):
             assert not aw.any()
+
+    def test_aux_from_cot_folds_the_aux_gradient_into_dw(self):
+        # one contraction of x + beta * tan_in per weight layer: bp's dw plus
+        # beta times the aux_dw of a linearized pull seeded like the
+        # backward; at beta 0 or with all-zero tangents, bp's dw bit for bit
+        rng = np.random.default_rng(5)
+        net = small_net()
+        x = rng.normal(size=(4, 6))
+        seed = rng.normal(size=(4, 3))
+        net.forward(x)
+        net.vjp(seed, upto=-1)
+        bp = [(l.dw, l.db) for l in net.param_layers]
+        for beta, v in ((0.0, rng.normal(size=x.shape)), (0.3, np.zeros_like(x))):
+            net.jvp(v, upto=-1)
+            net.aux_from_cot(beta)
+            for layer, (dw, db) in zip(net.param_layers, bp):
+                np.testing.assert_array_equal(layer.dw, dw)
+                np.testing.assert_array_equal(layer.db, db)
+        net.jvp(rng.normal(size=x.shape), upto=-1)
+        net.zero_aux()
+        net.lin_vjp(seed, upto=-1)
+        net.aux_from_cot(0.3)
+        for layer, (dw, db) in zip(net.param_layers, bp):
+            assert layer.aux_dw.any()
+            np.testing.assert_allclose(layer.dw, dw + 0.3 * layer.aux_dw,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(layer.db, db)
+
+    def test_vjp_can_leave_the_weight_contraction_to_aux_from_cot(self):
+        rng = np.random.default_rng(6)
+        net = small_net()
+        net.forward(rng.normal(size=(4, 6)))
+        seed = rng.normal(size=(4, 3))
+        full = net.vjp(seed, upto=-1)
+        cots = [l.cot_out for l in net.param_layers]
+        np.testing.assert_array_equal(net.vjp(seed, upto=-1, _dw=False), full)
+        for layer, cot in zip(net.param_layers, cots):
+            assert layer.dw is None and layer.db is None
+            np.testing.assert_array_equal(layer.cot_out, cot)
 
     def test_param_accessors(self):
         net = small_net()
@@ -316,6 +355,13 @@ class TestLayerFromSpec:
         for layer in net.layers:
             rebuilt = layer_from_spec(layer.spec(), rng)
             assert rebuilt.spec() == layer.spec()
+
+    def test_without_a_generator_weights_start_at_zero(self):
+        # as load builds them: the file's bytes then overwrite every entry
+        for layer in zoo_net(4).param_layers:
+            rebuilt = layer_from_spec(layer.spec(), None)
+            assert rebuilt.spec() == layer.spec()
+            assert rebuilt.w.shape == layer.w.shape and not rebuilt.w.any()
 
     @pytest.mark.parametrize("dtype", ["float16", "<f8", ["float32"]])
     def test_unknown_dtype(self, dtype):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ibpnet.errors import ConfigError, NumericError
-from ibpnet.gradcheck import rel_error
+from ibpnet.gradcheck import rel_error, step_aux
 from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network, batched_forward
 from ibpnet.losses import aux_loss_lp
@@ -206,22 +206,23 @@ class TestFastTbpFiveTangents:
         probs = net.forward(x, train=True)
         top = len(net.layers) - 1  # seed below the final softmax
         dy0 = net.vjp((probs - labels) / x.shape[0], upto=top)
-        net.zero_aux()
-        aux = 0.0
+        aux, aux_dw = 0.0, [0.0] * len(net.param_layers)
         for t in tangents:
             aux += float((dy0 * t).sum())
             net.jvp(t, upto=top)
-            net.aux_from_cot()
-        return aux, [l.aux_dw.copy() for l in net.param_layers]
+            for k, l in enumerate(net.param_layers):
+                aux_dw[k] = aux_dw[k] + l.weight_grad(l.tan_in, l.cot_out)[0]
+        return aux, aux_dw
 
     def test_matches_per_tangent_pushes(self):
         batch, tangents, cfg = self.case()
         assert all(t.any() for t in tangents)
-        res = step_fast_tbp(acceptance_net(18), batch, cfg, tangents)
-        aux, grads = res.aux_loss, res.grads
+        # the step folds beta * aux_dw into dw; step_aux takes it back out
+        res, aux_dw = step_aux(acceptance_net(18), batch, cfg, tangents)
+        aux = res.aux_loss
         ref_aux, ref_dw = self.per_tangent_reference(acceptance_net(18), batch,
                                                      tangents)
-        for got, want in zip(grads.aux_dw, ref_dw):
+        for got, want in zip(aux_dw, ref_dw):
             assert want.any()
             assert rel_error(got, want)[0] <= 1e-10
         assert abs(aux - ref_aux) <= 1e-10 * abs(ref_aux)
@@ -317,9 +318,9 @@ class TestAuxPullStopsAtLowestWeightLayer:
     def main_full_pull(net):
         """net with a main backward that always pulls down to the input, as a
         layer-by-layer loop over the default Layer.vjp."""
-        def vjp(dy, upto=None, pull=True):
+        def vjp(dy, upto=None, pull=True, _dw=True):
             for layer in reversed(net.layers[:upto]):
-                dy = layer.vjp(dy)
+                dy = layer.vjp(dy, _dw=_dw)
             return dy
         net.vjp = vjp
         return net
@@ -389,7 +390,12 @@ class TestRunStep:
         for algo in ("bp", "at", "fast-at"):
             res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo))
             assert res.grads.aux_dw is None
-        for algo in ("loss-ibp", "pred-ibp", "tbp", "fast-tbp"):
+        # loss-ibp and fast-tbp fold beta * aux_dw into dw
+        for algo in ("loss-ibp", "fast-tbp"):
+            res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo, beta=1.0),
+                           tangents)
+            assert res.grads.aux_dw is None
+        for algo in ("pred-ibp", "tbp"):
             res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo, beta=1.0),
                            tangents)
             assert [a.shape for a in res.grads.aux_dw] == [w.shape for w, _ in

@@ -20,10 +20,10 @@ TANGENTS = 5
 # for bp; the ratio to bp in the comments)
 STEP_MACS = {
     "bp": 785137664,
-    "loss-ibp": 1325629440,   # 1.69
+    "loss-ibp": 1060503552,   # 1.35
     "pred-ibp": 1580515328,   # 2.01
     "tbp": 4710825984,        # 6.00
-    "fast-tbp": 1325629440,   # 1.69
+    "fast-tbp": 1060503552,   # 1.35
     "at": 1580515328,         # 2.01
     "fast-at": 1315389440,    # 1.68
 }
