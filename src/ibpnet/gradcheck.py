@@ -306,11 +306,9 @@ def check_main_grad_fd(net: Network, batch, cfg: TrainConfig, h: float = 1e-5) -
 # ---------------------------------------------------------------------------
 
 def step_aux(net: Network, batch, cfg: TrainConfig, tangents=None):
-    """(StepResult, auxiliary weight gradients) of run_step; where the step
-    folds beta * aux_dw into dw (loss-ibp, fast-tbp), (dw - bp's dw) / beta."""
+    """(StepResult, auxiliary weight gradients) of run_step: every regularized
+    step folds beta * aux into dw, so the term is (dw - bp's dw) / beta."""
     res = run_step(net, batch, cfg, tangents)
-    if res.grads.aux_dw is not None:
-        return res, res.grads.aux_dw
     if cfg.beta == 0.0:
         raise ConfigError(f"{cfg.algo} at beta 0 folds no auxiliary term into dw")
     main = run_step(net, batch, TrainConfig(algo="bp")).grads.dw
@@ -411,11 +409,12 @@ def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
     fast, fast_aux = step_aux(net, batch, cfg, [tangent])
     _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
 
-    net.zero_aux()
+    for layer in net.param_layers:  # lin_vjp adds into dw
+        layer.dw = np.zeros_like(layer.w)
     out = net.jvp(tangent, upto=top)
     val = float((seed * out).sum())
     net.lin_vjp(seed, upto=top)
-    four = [l.aux_dw for l in net.param_layers]
+    four = [l.dw for l in net.param_layers]
 
     pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(fast_aux, four))]
     pairs.append(("aux-loss", np.array([fast.aux_loss]), np.array([val])))
@@ -423,8 +422,8 @@ def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
 
 
 def check_tbp_matches_pred_ibp(net: Network, batch, cfg_r: int = 1) -> CheckReport:
-    """tbp with the input cotangent as its single tangent against pred-ibp;
-    the two must agree to 1e-12 per weight."""
+    """tbp with the input cotangent as its single tangent against pred-ibp:
+    their dw (aux folded in at beta 1) must agree to 1e-12 per weight."""
     x, labels = batch
     cfg_pred = TrainConfig(algo="pred-ibp", beta=1.0, r=cfg_r)
     cfg_tbp = TrainConfig(algo="tbp", beta=1.0, r=cfg_r)
@@ -432,7 +431,7 @@ def check_tbp_matches_pred_ibp(net: Network, batch, cfg_r: int = 1) -> CheckRepo
     pred = run_step(net, batch, cfg_pred)
     tbp = run_step(net, batch, cfg_tbp, [dy0])
     pairs = [(f"layer{i}.w", a, b)
-             for i, (a, b) in enumerate(zip(pred.grads.aux_dw, tbp.grads.aux_dw))]
+             for i, (a, b) in enumerate(zip(pred.grads.dw, tbp.grads.dw))]
     pairs.append(("aux-loss", np.array([pred.aux_loss]), np.array([tbp.aux_loss])))
     return compare_tensors(f"equivalence/tbp-as-pred-ibp/r{cfg_r}", pairs, 1e-12)
 

@@ -28,8 +28,9 @@ From these the base ``Layer`` builds:
 * ``jvp(v)``: by default ``vjp_linear``, since the Jacobian is symmetric.
 * ``vjp(dy, pull=True)``: the backward pass; on parametric layers it caches
   ``cot_out`` and fills ``dw``/``db``, then pulls back unless ``pull`` is False.
-* ``lin_vjp(delta, pull=True)``: accumulate ``aux_dw`` against the tangent
-  input cached by ``jvp``, then pull back unless ``pull`` is False.
+* ``lin_vjp(delta, pull=True)``: add the contraction of ``delta`` with the
+  tangent input cached by ``jvp`` into the backward pass's ``dw``, then pull
+  back unless ``pull`` is False.
 * ``vjp(dy, _dw=False)`` caches ``cot_out`` only: ``Network.aux_from_cot``
   then fills ``dw``/``db`` with an auxiliary term folded in.
 """
@@ -104,8 +105,9 @@ class Layer:
     def lin_vjp(self, delta: np.ndarray, pull: bool = True) -> np.ndarray | None:
         if self.has_params:
             t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
+            dw = _need(self.dw, f"{type(self).__name__} weight gradient")
             delta = self.cast(delta)
-            self.aux_dw += self.weight_grad(t, delta)[0]
+            dw += self.weight_grad(t, delta)[0]
         return self.vjp_linear(delta) if pull else None
 
     def spec(self) -> dict:
@@ -134,7 +136,6 @@ class FullyConnected(Layer):
         self.out_features = out_features
         self.w = _he_init(rng, in_features, (in_features, out_features), dtype)
         self.b = np.zeros(out_features, dtype=dtype)
-        self.aux_dw = np.zeros_like(self.w)
         self.x_shape = None
 
     def forward(self, x, train=False):
@@ -177,7 +178,6 @@ class Conv2D(Layer):
         self.stride = (sh, sw)
         self.w = _he_init(rng, in_channels * kh * kw, (filters, in_channels, kh, kw), dtype)
         self.b = np.zeros(filters, dtype=dtype)
-        self.aux_dw = np.zeros_like(self.w)
         self.in_hw = None
 
     def forward(self, x, train=False):

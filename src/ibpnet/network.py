@@ -96,10 +96,10 @@ class Network:
         return v
 
     def lin_vjp(self, delta: np.ndarray, upto: int | None = None) -> None:
-        """Cotangent pull through the linearized layers[:upto], accumulating
-        auxiliary weight gradients against the tangents cached by jvp. Only
-        those are read, so the pull stops at the lowest weight layer, which
-        just contracts. Returns None; does nothing without weight layers."""
+        """Cotangent pull through the linearized layers[:upto] that adds its
+        contraction with jvp's cached tangents into each weight layer's dw.
+        Only those are read, so the pull stops at the lowest weight layer,
+        which just contracts. Returns None; nothing runs without one."""
         for layer, layer_pull in self._top_down(upto, pull=False):
             delta = layer.lin_vjp(delta, pull=layer_pull)
 
@@ -109,11 +109,6 @@ class Network:
         stack = self.layers[:upto]
         low = 0 if pull else next((i for i, l in enumerate(stack) if l.has_params), len(stack))
         return [(stack[i], pull or i > low) for i in range(len(stack) - 1, low - 1, -1)]
-
-    def zero_aux(self):
-        # fresh buffers, so gradient sets captured earlier keep their values
-        for layer in self.param_layers:
-            layer.aux_dw = np.zeros_like(layer.w)
 
     def aux_from_cot(self, beta: float):
         """dw, db = weight_grad(x + beta * tan_in, cot_out) per weight layer:

@@ -10,10 +10,10 @@ cotangent dy0. The regularized variants add passes over the network
   tangents with the cotangents cached by the main backward pass, folded into
   dw by one contraction of x + beta * tangent per weight layer.
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
-  penalty there, and a pull down to the lowest weight layer accumulating
-  auxiliary gradients. The prediction layer is the one the loss is seeded at
-  (the logits under nll, below a final softmax), so every pass runs over the
-  same layers. pred-ibp is exactly tbp with dy0 as its single tangent.
+  penalty there, and a pull of beta times its gradient that adds beta * aux
+  into the main backward's dw. The prediction layer is where the loss is
+  seeded (the logits under nll, below a final softmax), so every pass runs
+  over the same layers. pred-ibp is exactly tbp with dy0 as its one tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
   the four-pass route becomes one push plus the folded contractions.
@@ -25,9 +25,9 @@ cotangent dy0 carries a 1/batch factor. Penalties seeded by dy0 are already
 batch means at r=1; at r=2 the step rescales by the batch size. Penalties of
 ordinary (order-one) tangents are divided by the batch size instead.
 
-Every step takes (net, batch, cfg, tangents=None) and returns a StepResult;
-every algorithm funnels weight updates through the same optimizer code, so
-the degenerate settings (beta=0, epsilon=0, zero tangents) reproduce plain
+Every step takes (net, batch, cfg, tangents=None) and returns a StepResult
+whose dw is the one update direction, with beta * aux folded in. The
+degenerate settings (beta=0, epsilon=0, zero tangents) reproduce plain
 backpropagation bit for bit.
 """
 
@@ -94,21 +94,15 @@ class TrainConfig:
 
 @dataclass
 class GradientSet:
-    """Per-layer main gradients captured after a step, plus the auxiliary
-    weight gradients of pred-ibp and tbp (None else; see SgdMomentum)."""
+    """Per-layer gradients captured after a step; dw has beta * aux folded in."""
 
     dw: list = field(default_factory=list)
     db: list = field(default_factory=list)
-    aux_dw: list | None = None
 
     @classmethod
-    def capture(cls, net: Network, aux: bool = False) -> "GradientSet":
+    def capture(cls, net: Network) -> "GradientSet":
         layers = net.param_layers
-        return cls(
-            dw=[l.dw for l in layers],
-            db=[l.db for l in layers],
-            aux_dw=[l.aux_dw for l in layers] if aux else None,
-        )
+        return cls(dw=[l.dw for l in layers], db=[l.db for l in layers])
 
     def average(self, other: "GradientSet") -> "GradientSet":
         """In place, bitwise (a + b) / 2.0; self must own its arrays."""
@@ -173,7 +167,7 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
     The third pass pushes the penalty gradient forward through the
     linearized network (mirroring exactly the layers the backward pass
     traversed); one contraction of x + beta * tangent with the cached
-    cotangent per weight layer then gives dw + beta * aux_dw.
+    cotangent per weight layer then gives dw + beta * aux.
     """
     x, labels = batch
     loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
@@ -190,16 +184,17 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
 
 def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> float:
     """Shared pred-ibp / tbp machinery: per tangent, a linearized push through
-    layers[:top] (up to where the loss is seeded, the logits under nll), an
-    lp penalty there, and a linearized pull over the same layers that
-    accumulates auxiliary weight gradients. Returns the summed penalty."""
+    layers[:top] (the logits under nll), an lp penalty there, and a pull of
+    beta times its gradient over the same layers, adding into the main dw;
+    none at beta 0 or for a zero seed. Returns the summed penalty."""
     total = 0.0
     for t in tangents:
         n = t.shape[0]
         out = net.jvp(t, upto=top)
         raw, seed = aux_loss_direction(out, cfg.r)
         total += raw / n
-        net.lin_vjp(seed / n, upto=top)
+        if cfg.beta != 0.0 and seed.any():
+            net.lin_vjp(cfg.beta * seed / n, upto=top)
     return total
 
 
@@ -207,18 +202,16 @@ def step_pred_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
     """Prediction IBP: tbp with the input cotangent as the single tangent."""
     x, labels = batch
     loss, dy0, top = _main_passes(net, x, labels, cfg)
-    net.zero_aux()
     aux = _tangent_lp_passes(net, [dy0], cfg, top)
-    return StepResult(loss, aux, GradientSet.capture(net, aux=True))
+    return StepResult(loss, aux, GradientSet.capture(net))
 
 
 def step_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Tangent propagation, original four-pass form, one push+pull per tangent."""
     x, labels = batch
     loss, _, top = _main_passes(net, x, labels, cfg, pull=False)
-    net.zero_aux()
     aux = _tangent_lp_passes(net, tangents, cfg, top)
-    return StepResult(loss, aux, GradientSet.capture(net, aux=True))
+    return StepResult(loss, aux, GradientSet.capture(net))
 
 
 def _sum_tangents(tangents) -> np.ndarray:
@@ -294,9 +287,8 @@ def run_step(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult
 
 
 class SgdMomentum:
-    """Classical momentum: v <- m*v + g; w <- w - alpha_t*v, with the
-    learning rate decayed per epoch as alpha * decay**epoch. g is db for
-    biases and dw + beta*aux_dw for weights (dw where aux_dw is None)."""
+    """Classical momentum on a step's dw and db: v <- m*v + g, w <- w - lr*v,
+    with lr = alpha * decay**epoch."""
 
     def __init__(self, net: Network, cfg: TrainConfig):
         self.cfg = cfg
@@ -310,17 +302,11 @@ class SgdMomentum:
     def update(self, net: Network, grads: GradientSet, epoch: int):
         lr = self.lr_at(epoch)
         m = self.cfg.momentum
-        beta = self.cfg.beta
-        aux = grads.aux_dw or [None] * len(grads.dw)
-        for (w, b), (vw, vb), dw, db, adw in zip(
-            net.params(), self.velocity, grads.dw, grads.db, aux
-        ):
-            # adding beta*0 could still flip signed zeros, so branch instead
-            g = dw + beta * adw if adw is not None and beta != 0.0 and adw.any() else dw
-            if not (np.isfinite(g).all() and np.isfinite(db).all()):
+        for (w, b), (vw, vb), dw, db in zip(net.params(), self.velocity, grads.dw, grads.db):
+            if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                 raise NumericError("non-finite gradient in sgd update")
             vw *= m
-            vw += g
+            vw += dw
             w -= lr * vw
             vb *= m
             vb += db

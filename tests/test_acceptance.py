@@ -126,10 +126,13 @@ def test_criterion_03_fast_routes_match_their_reference_routes():
 def test_criterion_04_degenerate_settings_reproduce_bp_bitwise():
     """beta=0, epsilon=0, and all-zero tangents must not merely approximate
     plain backprop: the weight trajectories stay bitwise identical across
-    50 momentum steps, including the learning-rate decay boundary."""
+    50 momentum steps, including the learning-rate decay boundary. pred-ibp
+    and tbp at beta 0 still push their tangents, but fold nothing into dw."""
     steps = 50
     x, labels = synth_batch(11, 64, (1, 7, 7), 16)
     zero_tangents = [np.zeros((16,) + x.shape[1:]) for _ in range(2)]
+    rng = np.random.default_rng(13)
+    random_tangents = [rng.normal(0.0, 0.5, size=(16,) + x.shape[1:]) for _ in range(2)]
 
     def trajectory(cfg, tangents=None):
         net = acceptance_net(5)
@@ -148,9 +151,12 @@ def test_criterion_04_degenerate_settings_reproduce_bp_bitwise():
     variants = [
         (TrainConfig(algo="loss-ibp", beta=0.0, r=1), None),
         (TrainConfig(algo="loss-ibp", beta=0.0, r=2), None),
+        (TrainConfig(algo="pred-ibp", beta=0.0, r=1), None),
+        (TrainConfig(algo="pred-ibp", beta=0.0, r=2), None),
         (TrainConfig(algo="at", epsilon=0.0), None),
         (TrainConfig(algo="fast-at", epsilon=0.0), None),
         (TrainConfig(algo="tbp", beta=1.0), zero_tangents),
+        (TrainConfig(algo="tbp", beta=0.0), random_tangents),
         (TrainConfig(algo="fast-tbp", beta=1.0), zero_tangents),
     ]
     for cfg, tangents in variants:

@@ -264,21 +264,23 @@ class TestCheckVerdicts:
         assert not check_main_grad_fd(net, batch, cfg).passed
 
     @pytest.mark.parametrize("r", [1, 2])
-    def test_aux_fd_judges_the_gradients_run_step_returns(self, monkeypatch, r):
-        # pred-ibp's step with every auxiliary gradient off by a factor 1 + 1e-5
+    @pytest.mark.parametrize("algo", ["pred-ibp", "tbp"])
+    def test_aux_fd_judges_the_gradients_run_step_returns(self, monkeypatch, algo, r):
+        # the auxiliary term the step folds into dw off by a factor 1 + 1e-5,
+        # through a linearized pull whose seed is scaled by it
         net = acceptance_net(0)
         batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
-        cfg = TrainConfig(algo="pred-ibp", beta=0.1, r=r)
-        assert check_aux_grad_fd(net, batch, cfg).passed
-
-        def skewed_step(*args):
-            res = training.step_pred_ibp(*args)
-            for a in res.grads.aux_dw:
-                a *= 1.0 + 1e-5
-            return res
-
-        monkeypatch.setitem(training.STEPS, "pred-ibp", skewed_step)
-        assert not check_aux_grad_fd(net, batch, cfg).passed
+        rng = rng_stream(0, "checks/tangents")
+        tangents = None
+        if algo == "tbp":
+            tangents = [rng.normal(0.0, 0.5, size=batch[0].shape) for _ in range(2)]
+        cfg = TrainConfig(algo=algo, beta=0.1, r=r)
+        assert check_aux_grad_fd(net, batch, cfg, tangents).passed
+        pull = Network.lin_vjp
+        monkeypatch.setattr(Network, "lin_vjp", lambda self, delta, upto=None:
+                            pull(self, (1.0 + 1e-5) * delta, upto))
+        rep = check_aux_grad_fd(net, batch, cfg, tangents)
+        assert not rep.passed, rep.line()
 
     def test_aux_fd_fails_an_r1_seed_with_a_relative_error_of_1e_5(self, monkeypatch):
         # the r=1 seed is sign(dy0); the frozen-sign oracle keeps np.sign
@@ -292,9 +294,9 @@ class TestCheckVerdicts:
 
     @pytest.mark.parametrize("algo, r", [("loss-ibp", 1), ("loss-ibp", 2), ("fast-tbp", 1)])
     def test_aux_fd_fails_a_folded_term_off_by_1e_5(self, monkeypatch, algo, r):
-        # the step folds beta * aux_dw into dw; the check takes bp's dw back
+        # the step folds beta * aux into dw; the check takes bp's dw back
         # out and judges the auxiliary term alone, so a fold with
-        # beta * (1 + 1e-5) fails it however small beta * aux_dw is beside dw
+        # beta * (1 + 1e-5) fails it however small beta * aux is beside dw
         net = acceptance_net(0)
         batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
         rng = rng_stream(0, "checks/tangents")

@@ -81,24 +81,29 @@ class TestFullyConnected:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_aux_paths_agree_and_accumulate(self):
-        # lin_vjp contracts the cached tangent input with the cotangent it is
-        # given; the fold contracts x + beta * tangent input with the
-        # cotangent cached by vjp, so it adds beta times that to bp's dw
+        # lin_vjp adds the contraction of the cached tangent input with the
+        # cotangent it is given into dw; the fold contracts x + beta * tangent
+        # input with the cotangent cached by vjp, so it adds beta times that
+        # to bp's dw
         rng = np.random.default_rng(4)
         fc = FullyConnected(6, 4, rng)
         x = rng.normal(size=(3, 6))
         dy = rng.normal(size=(3, 4))
         fc.forward(x)
         fc.vjp(dy)
-        dw, db = fc.dw, fc.db
+        dw, db = fc.dw.copy(), fc.db
         fc.jvp(rng.normal(size=(3, 6)))
         fc.lin_vjp(dy)
-        Network([fc]).aux_from_cot(0.5)
-        np.testing.assert_allclose(fc.dw, dw + 0.5 * fc.aux_dw, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(fc.db, db)
-        once = fc.aux_dw.copy()
+        added = fc.dw
+        fc.dw = np.zeros_like(fc.w)
         fc.lin_vjp(dy)
-        np.testing.assert_array_equal(fc.aux_dw, 2.0 * once)
+        once = fc.dw.copy()
+        np.testing.assert_array_equal(added, dw + once)
+        fc.lin_vjp(dy)
+        np.testing.assert_array_equal(fc.dw, 2.0 * once)
+        Network([fc]).aux_from_cot(0.5)
+        np.testing.assert_allclose(fc.dw, dw + 0.5 * once, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(fc.db, db)
 
     def test_he_init_stats(self):
         rng = np.random.default_rng(5)
@@ -145,11 +150,16 @@ class TestConv2DLayer:
         dy = rng.normal(size=(2, 3, 3, 3))
         conv.forward(x)
         conv.vjp(dy)
-        dw, db = conv.dw, conv.db
+        dw, db = conv.dw.copy(), conv.db
         conv.jvp(rng.normal(size=x.shape))
         conv.lin_vjp(dy)
+        added = conv.dw
+        conv.dw = np.zeros_like(conv.w)
+        conv.lin_vjp(dy)
+        aux = conv.dw
+        np.testing.assert_allclose(added, dw + aux, rtol=1e-12, atol=1e-15)
         Network([conv]).aux_from_cot(0.5)
-        np.testing.assert_allclose(conv.dw, dw + 0.5 * conv.aux_dw, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(conv.dw, dw + 0.5 * aux, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(conv.db, db)
 
     def test_shape_errors(self):
@@ -354,6 +364,15 @@ class TestCacheLifetimes:
         rng = np.random.default_rng(25)
         fc = FullyConnected(4, 3, rng)
         fc.forward(rng.normal(size=(2, 4)))
+        fc.jvp(rng.normal(size=(2, 4)))
+        # no backward yet, so no dw for lin_vjp to add into
+        with pytest.raises(StateError, match="FullyConnected weight gradient"):
+            fc.lin_vjp(np.ones((2, 3)))
+        fc.vjp(np.ones((2, 3)), _dw=False)
+        with pytest.raises(StateError, match="FullyConnected weight gradient"):
+            fc.lin_vjp(np.ones((2, 3)))
+        fc = FullyConnected(4, 3, rng)
+        fc.forward(rng.normal(size=(2, 4)))
         fc.vjp(np.ones((2, 3)))
         with pytest.raises(StateError):
             fc.lin_vjp(np.ones((2, 3)))  # no jvp yet, no cached tangent
@@ -377,15 +396,17 @@ class TestLinVjpPull:
         layer.forward(rng.normal(size=x_shape))
         layer.jvp(rng.normal(size=x_shape))
         delta = rng.normal(size=dy_shape)
+        if layer.has_params:
+            layer.dw = np.zeros_like(layer.w)  # lin_vjp adds into dw
         pulled = layer.lin_vjp(delta)
         np.testing.assert_array_equal(pulled, layer.vjp_linear(delta))
         if layer.has_params:
-            once = layer.aux_dw.copy()
-            layer.aux_dw[:] = 0.0
+            once = layer.dw.copy()
+            layer.dw[:] = 0.0
         assert layer.lin_vjp(delta, pull=False) is None
         if layer.has_params:
             # the contraction still runs, bitwise as with the pull
-            np.testing.assert_array_equal(layer.aux_dw, once)
+            np.testing.assert_array_equal(layer.dw, once)
 
     @pytest.mark.parametrize("make, x_shape, dy_shape", PULL_CASES)
     def test_vjp_without_pull_fills_the_same_caches(self, make, x_shape, dy_shape):
@@ -412,7 +433,6 @@ def zoo_in(dtype):
     net = zoo_net(6)
     for layer in net.param_layers:
         layer.w, layer.b = layer.w.astype(dtype), layer.b.astype(dtype)
-        layer.aux_dw = np.zeros_like(layer.w)
     return net
 
 
@@ -436,13 +456,14 @@ def every_pass(net):
     walk("jvp", rng.normal(size=x.shape), layers, lambda l, a: l.jvp(a))
     top_down = layers[::-1]
     walk("vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp(a))
-    walk("vjp_linear", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp_linear(a))
-    net.zero_aux()
-    walk("lin_vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.lin_vjp(a))
     weight_layers = [(i, layer) for i, layer in layers if layer.has_params]
     for i, layer in weight_layers:
-        outs[i, "fc/conv", "lin_vjp aux_dw"] = layer.aux_dw
         outs[i, "fc/conv", "dw"], outs[i, "fc/conv", "db"] = layer.dw, layer.db
+        layer.dw = np.zeros_like(layer.w)  # lin_vjp adds into dw
+    walk("vjp_linear", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp_linear(a))
+    walk("lin_vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.lin_vjp(a))
+    for i, layer in weight_layers:
+        outs[i, "fc/conv", "lin_vjp dw"] = layer.dw
     net.aux_from_cot(0.5)
     for i, layer in weight_layers:
         outs[i, "fc/conv", "aux_from_cot dw"] = layer.dw

@@ -1,5 +1,5 @@
-"""Network container tests: pass orchestration, aux buffer lifetime, and the
-binary model file format."""
+"""Network container tests: pass orchestration, the auxiliary term's fold
+into dw, and the binary model file format."""
 
 import hashlib
 
@@ -19,8 +19,14 @@ def small_net(seed=0):
                     FullyConnected(8, 3, rng), Softmax()])
 
 
-def aux_dws(net):
-    return [l.aux_dw for l in net.param_layers]
+def dws(net):
+    return [l.dw for l in net.param_layers]
+
+
+def zero_dws(net):
+    # lin_vjp adds into the dw of a backward pass; zeros leave its term alone
+    for layer in net.param_layers:
+        layer.dw = np.zeros_like(layer.w)
 
 
 class TestPasses:
@@ -61,28 +67,42 @@ class TestPasses:
         full = net.jvp(v)
         np.testing.assert_array_equal(full, net.layers[-1].jvp(manual))
 
-    def test_zero_aux_reallocates(self):
-        # gradient snapshots taken before zero_aux must keep their values
+    def test_lin_vjp_adds_into_the_dw_each_backward_allocates(self):
+        # the pull adds into the dw of the latest backward, in place; the next
+        # backward allocates afresh, so gradients captured before it keep
+        # their values and a second step does not carry the first one's term
         rng = np.random.default_rng(3)
         net = small_net()
-        x = rng.normal(size=(4, 6))
-        net.forward(x)
-        net.vjp(rng.normal(size=(4, 3)))
-        net.jvp(rng.normal(size=x.shape), upto=-1)
-        net.lin_vjp(rng.normal(size=(4, 3)), upto=-1)
-        before = aux_dws(net)
-        snapshot = [aw.copy() for aw in before]
-        assert any(aw.any() for aw in before)
-        net.zero_aux()
-        for old, snap in zip(before, snapshot):
-            np.testing.assert_array_equal(old, snap)  # old buffer untouched
-        for aw in aux_dws(net):
-            assert not aw.any()
+        x, dy = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
+        v, delta = rng.normal(size=x.shape), rng.normal(size=(4, 3))
+
+        def step():
+            net.forward(x)
+            net.vjp(dy)
+            bp = [dw.copy() for dw in dws(net)]
+            held = dws(net)
+            net.jvp(v, upto=-1)
+            net.lin_vjp(delta, upto=-1)
+            for layer, dw in zip(net.param_layers, held):
+                assert layer.dw is dw
+            return bp, held
+
+        bp, first = step()
+        snapshot = [dw.copy() for dw in first]
+        for dw, b in zip(first, bp):
+            assert (dw != b).any()
+        bp_again, second = step()
+        for old, snap, new, b, b2 in zip(first, snapshot, second, bp, bp_again):
+            assert not np.shares_memory(old, new)
+            np.testing.assert_array_equal(old, snap)
+            np.testing.assert_array_equal(b2, b)
+            np.testing.assert_array_equal(new, snap)
 
     def test_aux_from_cot_folds_the_aux_gradient_into_dw(self):
         # one contraction of x + beta * tan_in per weight layer: bp's dw plus
-        # beta times the aux_dw of a linearized pull seeded like the
-        # backward; at beta 0 or with all-zero tangents, bp's dw bit for bit
+        # beta times the term a linearized pull seeded like the backward adds
+        # into a zeroed dw; at beta 0 or with all-zero tangents, bp's dw bit
+        # for bit
         rng = np.random.default_rng(5)
         net = small_net()
         x = rng.normal(size=(4, 6))
@@ -97,13 +117,13 @@ class TestPasses:
                 np.testing.assert_array_equal(layer.dw, dw)
                 np.testing.assert_array_equal(layer.db, db)
         net.jvp(rng.normal(size=x.shape), upto=-1)
-        net.zero_aux()
+        zero_dws(net)
         net.lin_vjp(seed, upto=-1)
+        aux = dws(net)
         net.aux_from_cot(0.3)
-        for layer, (dw, db) in zip(net.param_layers, bp):
-            assert layer.aux_dw.any()
-            np.testing.assert_allclose(layer.dw, dw + 0.3 * layer.aux_dw,
-                                       rtol=1e-12, atol=1e-15)
+        for layer, (dw, db), a in zip(net.param_layers, bp, aux):
+            assert a.any()
+            np.testing.assert_allclose(layer.dw, dw + 0.3 * a, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(layer.db, db)
 
     def test_vjp_can_leave_the_weight_contraction_to_aux_from_cot(self):
@@ -193,14 +213,14 @@ class TestLinVjpStopsAtLowestWeightLayer:
         for n in (net, ref):
             n.forward(x, train=True)
             n.jvp(v, upto=-1)
-            n.zero_aux()
+            zero_dws(n)
         pulled = record_calls(net)
         assert net.lin_vjp(delta, upto=-1) is None
         assert pulled == [4, 3]  # fc2 and relu; fc1 only contracts
         d = delta
         for layer in reversed(ref.layers[:-1]):  # a full pull to the input
             d = layer.lin_vjp(d)
-        for got, want in zip(aux_dws(net), aux_dws(ref)):
+        for got, want in zip(dws(net), dws(ref)):
             assert want.any()
             np.testing.assert_array_equal(got, want)
 
@@ -226,11 +246,11 @@ class TestLinVjpStopsAtLowestWeightLayer:
         x = rng.normal(size=(4, 1, 6, 6))
         net.forward(x, train=True)
         net.jvp(rng.normal(size=x.shape), upto=2)
-        net.zero_aux()
+        zero_dws(net)
         pulled = record_calls(net)
         assert net.lin_vjp(rng.normal(size=(4, 1, 3, 3)), upto=2) is None
         assert pulled == []
-        assert not any(aw.any() for aw in aux_dws(net))
+        assert not any(dw.any() for dw in dws(net))
         ran = record_calls(net, "vjp")
         assert net.vjp(rng.normal(size=(4, 1, 3, 3)), upto=2, pull=False) is None
         assert ran == pulled == []

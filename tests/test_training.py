@@ -1,6 +1,8 @@
 """Training step and optimizer tests: closed-form updates, degenerate
 settings that must reproduce plain backpropagation, and fit() determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from ibpnet.perturb import sweep
 from ibpnet.presets import acceptance_net, build_net, mnist_tiny_net, zoo_net
 from ibpnet.tangents import tangent_vectors
 from ibpnet.training import (
+    ALGOS,
+    REGULARIZED,
     GradientSet,
     SgdMomentum,
     TrainConfig,
@@ -37,9 +41,8 @@ def one_param_net(w0=1.0):
     return net
 
 
-def const_grads(dw, adw=0.0):
-    return GradientSet(dw=[np.array([[dw]])], db=[np.zeros(1)],
-                       aux_dw=[np.array([[adw]])])
+def const_grads(dw):
+    return GradientSet(dw=[np.array([[dw]])], db=[np.zeros(1)])
 
 
 def make_batch(rng, n, in_shape, classes):
@@ -89,29 +92,20 @@ class TestSgdMomentum:
         assert opt.lr_at(1) == 0.1 * 0.98
         np.testing.assert_allclose(opt.lr_at(80), 0.019864885008204065, rtol=1e-12)
 
-    def test_beta_combines_aux_direction(self):
-        net = one_param_net(1.0)
-        cfg = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.1, momentum=0.0, decay=1.0)
-        SgdMomentum(net, cfg).update(net, const_grads(0.5, adw=2.0), epoch=0)
-        np.testing.assert_allclose(net.layers[0].w, [[1.0 - 0.1 * 0.7]], rtol=1e-15)
-
-    def test_beta_zero_ignores_aux_bitwise(self):
+    def test_update_ignores_beta_and_algo_bitwise(self):
+        # the step folds beta into dw; the optimizer is plain momentum on
+        # whatever dw and db it is handed, whichever algorithm made them
         a, b = one_param_net(1.0), one_param_net(1.0)
         plain = TrainConfig(alpha=0.1, momentum=0.9, decay=1.0)
-        with_aux = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.0,
-                               momentum=0.9, decay=1.0)
-        SgdMomentum(a, plain).update(a, const_grads(0.3), epoch=0)
-        SgdMomentum(b, with_aux).update(b, const_grads(0.3, adw=7.0), epoch=0)
-        np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
-
-    def test_absent_aux_equals_zero_aux_bitwise(self):
-        a, b = one_param_net(1.0), one_param_net(1.0)
-        cfg = TrainConfig(algo="loss-ibp", alpha=0.1, beta=0.1, momentum=0.9, decay=1.0)
-        main_only = GradientSet(dw=[np.array([[0.3]])], db=[np.zeros(1)])
-        SgdMomentum(a, cfg).update(a, main_only, epoch=0)
-        SgdMomentum(b, cfg).update(b, const_grads(0.3, adw=0.0), epoch=0)
+        regularized = TrainConfig(algo="pred-ibp", alpha=0.1, beta=0.7,
+                                  momentum=0.9, decay=1.0)
+        opt_a, opt_b = SgdMomentum(a, plain), SgdMomentum(b, regularized)
+        for g in (0.3, -0.2):
+            opt_a.update(a, const_grads(g), epoch=0)
+            opt_b.update(b, const_grads(g), epoch=0)
         assert a.layers[0].w[0, 0] != 1.0
         np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
+        np.testing.assert_array_equal(a.layers[0].b, b.layers[0].b)
 
 
 class TestAdversarialShift:
@@ -217,7 +211,7 @@ class TestFastTbpFiveTangents:
     def test_matches_per_tangent_pushes(self):
         batch, tangents, cfg = self.case()
         assert all(t.any() for t in tangents)
-        # the step folds beta * aux_dw into dw; step_aux takes it back out
+        # the step folds beta * aux into dw; step_aux takes it back out
         res, aux_dw = step_aux(acceptance_net(18), batch, cfg, tangents)
         aux = res.aux_loss
         ref_aux, ref_dw = self.per_tangent_reference(acceptance_net(18), batch,
@@ -261,20 +255,21 @@ class TestAuxPullStopsAtLowestWeightLayer:
              "fast-tbp": ["vjp"], "at": ["vjp"], "fast-at": ["vjp_linear"]}
 
     @staticmethod
-    def full_pull_reference(net, batch, tangents, r):
+    def full_pull_reference(net, batch, tangents, cfg):
+        """(aux loss, dw, db) with each tangent's beta-scaled seed pulled down
+        to the input, adding into the dw of the main backward."""
         x, labels = batch
         n = x.shape[0]
         probs = net.forward(x, train=True)
         dy0 = net.vjp((probs - labels) / n, upto=len(net.layers) - 1)
-        net.zero_aux()
         total = 0.0
         for t in (tangents if tangents is not None else [dy0]):
-            raw, seed = aux_loss_lp(net.jvp(t, upto=-1), r)
+            raw, seed = aux_loss_lp(net.jvp(t, upto=-1), cfg.r)
             total += raw / n
-            delta = seed / n
+            delta = cfg.beta * seed / n
             for layer in reversed(net.layers[:-1]):  # below the final softmax
                 delta = layer.lin_vjp(delta)
-        return total, [l.aux_dw.copy() for l in net.param_layers]
+        return total, [l.dw for l in net.param_layers], [l.db for l in net.param_layers]
 
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("algo", ["tbp", "pred-ibp"])
@@ -308,10 +303,10 @@ class TestAuxPullStopsAtLowestWeightLayer:
         # the main backward pulls dy0 for pred-ibp only; tbp never reads it
         assert aux_pulls == (["main"] if algo == "pred-ibp" else [])
 
-        ref_aux, ref_dw = self.full_pull_reference(make(20), (x, labels), tangents, r)
+        ref_aux, ref_dw, ref_db = self.full_pull_reference(make(20), (x, labels),
+                                                           tangents, cfg)
         assert res.aux_loss == ref_aux
-        for got, want in zip(res.grads.aux_dw, ref_dw):
-            assert want.any()
+        for got, want in zip(res.grads.dw + res.grads.db, ref_dw + ref_db):
             np.testing.assert_array_equal(got, want)
 
     @staticmethod
@@ -361,10 +356,8 @@ class TestAuxPullStopsAtLowestWeightLayer:
             assert pulls == want_pulls, algo
             ref = run_step(self.main_full_pull(make(22)), (x, labels), cfg, tangents)
             assert (res.main_loss, res.aux_loss) == (ref.main_loss, ref.aux_loss), algo
-            assert (res.grads.aux_dw is None) == (ref.grads.aux_dw is None), algo
             got, want = res.grads, ref.grads
-            for g, w in zip(got.dw + got.db + (got.aux_dw or []),
-                            want.dw + want.db + (want.aux_dw or [])):
+            for g, w in zip(got.dw + got.db, want.dw + want.db):
                 np.testing.assert_array_equal(g, w, err_msg=algo)
 
 
@@ -384,22 +377,56 @@ class TestRunStep:
             assert res.aux_loss == 0.0
 
     def test_aux_gradients_only_from_regularized_algos(self):
+        # every step returns one update direction, dw and db; the regularized
+        # ones fold beta * aux into dw, so at beta 1 their dw leaves bp's
         rng = np.random.default_rng(9)
         x, labels = make_batch(rng, 4, (1, 7, 7), 16)
         tangents = [rng.normal(size=x.shape)]
-        for algo in ("bp", "at", "fast-at"):
-            res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo))
-            assert res.grads.aux_dw is None
-        # loss-ibp and fast-tbp fold beta * aux_dw into dw
-        for algo in ("loss-ibp", "fast-tbp"):
+        bp = run_step(acceptance_net(0), (x, labels), TrainConfig()).grads
+        shapes = [w.shape for w, _ in acceptance_net(0).params()]
+        for algo in ALGOS:
             res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo, beta=1.0),
                            tangents)
-            assert res.grads.aux_dw is None
-        for algo in ("pred-ibp", "tbp"):
-            res = run_step(acceptance_net(0), (x, labels), TrainConfig(algo=algo, beta=1.0),
-                           tangents)
-            assert [a.shape for a in res.grads.aux_dw] == [w.shape for w, _ in
-                                                           acceptance_net(0).params()]
+            assert [f.name for f in fields(res.grads)] == ["dw", "db"]
+            assert [a.shape for a in res.grads.dw] == shapes
+            moved = any((a != b).any() for a, b in zip(res.grads.dw, bp.dw))
+            assert moved == (algo in REGULARIZED), algo
+
+    def test_pred_ibp_and_tbp_pull_nothing_at_beta_zero_or_a_zero_seed(self):
+        # such a pull adds only zeros, up to their sign, to bp's dw; the step
+        # skips it, so dw stays bp's bit for bit and the pass costs nothing
+        rng = np.random.default_rng(10)
+        x, labels = make_batch(rng, 4, (1, 7, 7), 16)
+        tangents = [rng.normal(size=x.shape)]
+        cases = [("pred-ibp", 0.0, None, 0), ("tbp", 0.0, tangents, 0),
+                 ("tbp", 1.0, [np.zeros_like(x)], 0),
+                 ("pred-ibp", 0.1, None, 1), ("tbp", 0.1, tangents * 2, 2)]
+        for algo, beta, tan, want in cases:
+            net, pulls = acceptance_net(0), []
+            pull = net.lin_vjp
+            net.lin_vjp = lambda *a, **kw: pulls.append(1) or pull(*a, **kw)
+            run_step(net, (x, labels), TrainConfig(algo=algo, beta=beta), tan)
+            assert len(pulls) == want, (algo, beta)
+
+    @pytest.mark.parametrize("algo,r", [("loss-ibp", 2), ("pred-ibp", 1), ("pred-ibp", 2),
+                                        ("tbp", 2), ("fast-tbp", 2)])
+    def test_folded_term_scales_with_beta(self, algo, r):
+        # dw = bp dw + beta * aux, with aux independent of beta: doubling beta
+        # doubles dw's departure from bp's, and db stays bp's bit for bit
+        rng = np.random.default_rng(11)
+        x, labels = make_batch(rng, 8, (1, 7, 7), 16)
+        tangents = [rng.normal(size=x.shape) for _ in range(2)]
+        bp = run_step(acceptance_net(3), (x, labels), TrainConfig()).grads
+        one, two = (run_step(acceptance_net(3), (x, labels),
+                             TrainConfig(algo=algo, beta=beta, r=r), tangents).grads
+                    for beta in (0.05, 0.1))
+        for w1, w2, w0 in zip(one.dw, two.dw, bp.dw):
+            assert (w1 != w0).any()
+            np.testing.assert_allclose(w2 - w0, 2.0 * (w1 - w0), rtol=1e-7,
+                                       atol=1e-12 * np.abs(w0).max())
+        for d1, d2, d0 in zip(one.db, two.db, bp.db):
+            np.testing.assert_array_equal(d1, d0)
+            np.testing.assert_array_equal(d2, d0)
 
 
 class TestInputGradient:
