@@ -408,13 +408,13 @@ def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
     cfg = TrainConfig(algo="fast-tbp", beta=1.0)
     fast, fast_aux = step_aux(net, batch, cfg, [tangent])
     _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
-
-    for layer in net.param_layers:  # lin_vjp adds into dw
-        layer.dw = np.zeros_like(layer.w)
+    net.vjp(seed, upto=top, pull=False, _dw=False)  # starts the pull record
     out = net.jvp(tangent, upto=top)
     val = float((seed * out).sum())
     net.lin_vjp(seed, upto=top)
-    four = [l.dw for l in net.param_layers]
+    # the recorded pull alone: a zero main pair adds nothing to it
+    four = [l.weight_grad_sum(np.zeros_like(l.x), np.zeros_like(l.cot_out), l.pulls)[0]
+            for l in net.param_layers]
 
     pairs = [(f"layer{i}.w", a, b) for i, (a, b) in enumerate(zip(fast_aux, four))]
     pairs.append(("aux-loss", np.array([fast.aux_loss]), np.array([val])))

@@ -15,6 +15,10 @@ A subclass defines:
   dropout mask) are reused from the forward cache rather than recomputed.
 * ``weight_grad(a, dy) -> (dw, db)``, on parametric layers only: contract a
   layer input with an output cotangent.
+* ``pull_term(t, delta)`` and ``weight_grad_sum(a, dy, pulls)``, only where
+  the pulls of linearized passes contract more cheaply with the main pair
+  than one by one: ``FullyConnected`` keeps each pull's rows and stacks
+  them with the main rows into one GEMM.
 * ``kind`` and ``fields``: its model-file record, which ``spec()`` writes
   and ``network.layer_from_spec`` reads back.
 
@@ -28,11 +32,16 @@ From these the base ``Layer`` builds:
 * ``jvp(v)``: by default ``vjp_linear``, since the Jacobian is symmetric.
 * ``vjp(dy, pull=True)``: the backward pass; on parametric layers it caches
   ``cot_out`` and fills ``dw``/``db``, then pulls back unless ``pull`` is False.
-* ``lin_vjp(delta, pull=True)``: add the contraction of ``delta`` with the
-  tangent input cached by ``jvp`` into the backward pass's ``dw``, then pull
-  back unless ``pull`` is False.
+* ``lin_vjp(delta, pull=True)``: record ``pull_term`` of ``delta`` and the
+  tangent input cached by ``jvp``, then pull back unless ``pull`` is False.
+  By default the term is their contraction, made at once, so a pull keeps
+  a weight-sized array rather than its activations. Each backward starts
+  the record afresh.
+* ``weight_grad_sum(a, dy, pulls)``: by default ``weight_grad(a, dy)``
+  with the recorded terms added to dw in pull order; db is dy's alone.
 * ``vjp(dy, _dw=False)`` caches ``cot_out`` only: ``Network.aux_from_cot``
-  then fills ``dw``/``db`` with an auxiliary term folded in.
+  then fills ``dw``/``db`` by ``weight_grad_sum``, with an auxiliary term
+  folded in.
 """
 
 from __future__ import annotations
@@ -77,8 +86,9 @@ class Layer:
     kind: str
     fields: tuple = ()
     # caches of parametric layers: forward input, backward cotangent and
-    # tangent input (as weight_grad takes them), and the main gradients
-    x = cot_out = tan_in = dw = db = None
+    # tangent input (as weight_grad takes them), the pull terms lin_vjp
+    # recorded since the backward, and the main gradients
+    x = cot_out = tan_in = pulls = dw = db = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -99,16 +109,26 @@ class Layer:
             x = _need(self.x, f"{type(self).__name__} input cache")
             dy = self.cast(dy)
             self.cot_out = dy
+            self.pulls = []
             self.dw, self.db = self.weight_grad(x, dy) if _dw else (None, None)
         return self.vjp_linear(dy) if pull else None
 
     def lin_vjp(self, delta: np.ndarray, pull: bool = True) -> np.ndarray | None:
         if self.has_params:
             t = _need(self.tan_in, f"{type(self).__name__} tangent cache")
-            dw = _need(self.dw, f"{type(self).__name__} weight gradient")
+            pulls = _need(self.pulls, f"{type(self).__name__} pull record")
             delta = self.cast(delta)
-            dw += self.weight_grad(t, delta)[0]
+            pulls.append(self.pull_term(t, delta))
         return self.vjp_linear(delta) if pull else None
+
+    def pull_term(self, t: np.ndarray, delta: np.ndarray):
+        return self.weight_grad(t, delta)[0]
+
+    def weight_grad_sum(self, a: np.ndarray, dy: np.ndarray, pulls) -> tuple:
+        dw, db = self.weight_grad(a, dy)
+        for term in pulls:
+            dw += term
+        return dw, db
 
     def spec(self) -> dict:
         """The model-file record: kind, declared fields, non-float64 dtype."""
@@ -158,6 +178,17 @@ class FullyConnected(Layer):
 
     def weight_grad(self, a, dy):
         return a.T @ dy, dy.sum(axis=0)
+
+    def pull_term(self, t, delta):
+        return t, delta  # rows of the one contraction below
+
+    def weight_grad_sum(self, a, dy, pulls):
+        """One GEMM over the main rows and every pull's rows stacked."""
+        if not pulls:
+            return self.weight_grad(a, dy)
+        rows, cots = zip(*pulls)
+        stacked = self.weight_grad(np.concatenate((a, *rows)), np.concatenate((dy, *cots)))
+        return stacked[0], dy.sum(axis=0)
 
 
 class Conv2D(Layer):

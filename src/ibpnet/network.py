@@ -96,10 +96,11 @@ class Network:
         return v
 
     def lin_vjp(self, delta: np.ndarray, upto: int | None = None) -> None:
-        """Cotangent pull through the linearized layers[:upto] that adds its
-        contraction with jvp's cached tangents into each weight layer's dw.
-        Only those are read, so the pull stops at the lowest weight layer,
-        which just contracts. Returns None; nothing runs without one."""
+        """Cotangent pull through the linearized layers[:upto] that records,
+        on each weight layer, the pull term of its delta and jvp's cached
+        tangent input, for aux_from_cot to add into dw. Only those are read,
+        so the pull stops at the lowest weight layer, which just records.
+        Returns None; nothing runs without one."""
         for layer, layer_pull in self._top_down(upto, pull=False):
             delta = layer.lin_vjp(delta, pull=layer_pull)
 
@@ -111,15 +112,22 @@ class Network:
         return [(stack[i], pull or i > low) for i in range(len(stack) - 1, low - 1, -1)]
 
     def aux_from_cot(self, beta: float):
-        """dw, db = weight_grad(x + beta * tan_in, cot_out) per weight layer:
-        bp's dw plus beta times the auxiliary gradient of a loss on the input
-        cotangent of vjp(_dw=False), in one contraction. At beta 0 or with an
-        all-zero tan_in, x alone is contracted, bitwise as by bp."""
+        """Each weight layer's dw and db, formed once per step after
+        vjp(_dw=False): weight_grad_sum of the main pair (x + beta * tan_in,
+        cot_out) and the pull terms lin_vjp recorded since, which it then
+        drops; db comes from cot_out alone.
+
+        beta folds the last pushed tangent into the main contraction, for a
+        loss on the input cotangent (loss-ibp, fast-tbp). The pulls of
+        pred-ibp and tbp carry beta in their deltas, so those steps pass 0.
+        At beta 0 or with an all-zero tan_in and no recorded pull, x alone
+        is contracted, bitwise as by bp."""
         for layer in self.param_layers:
-            a, t, c = (_need(getattr(layer, k), f"{type(layer).__name__} {k} cache")
-                       for k in ("x", "tan_in", "cot_out"))
+            a, t, c, pulls = (_need(getattr(layer, k), f"{type(layer).__name__} {k} cache")
+                              for k in ("x", "tan_in", "cot_out", "pulls"))
             a = layer.cast(a + beta * t) if beta != 0.0 and t.any() else a
-            layer.dw, layer.db = layer.weight_grad(a, c)
+            layer.dw, layer.db = layer.weight_grad_sum(a, c, pulls)
+            layer.pulls = []
 
     def params(self):
         return [(l.w, l.b) for l in self.param_layers]

@@ -270,18 +270,22 @@ def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pool_output_extent(h: int, k: int, s: int) -> int:
-    """Number of pooling windows along one axis."""
-    n = -((h - k) // -s) + 1  # ceil((h-k)/s) + 1
+    """Number of pooling windows along one axis: at least one on a
+    non-empty axis, whose window is truncated when k > h."""
+    n = max(0, -((h - k) // -s)) + 1  # ceil((h-k)/s) + 1
     return min(n, (h - 1) // s + 1)  # every window must intersect the image
 
 
 def _pool_geometry(in_hw, window, stride):
+    """(Ho, Wo) windows and the (Hp, Wp) extent their rows and columns span;
+    with a stride beyond the window the last rows and columns may lie in
+    none, and the kernels read only x[..., :Hp, :Wp]."""
     h, w = in_hw
     kh, kw = window
     sh, sw = stride
     ho = pool_output_extent(h, kh, sh)
     wo = pool_output_extent(w, kw, sw)
-    return ho, wo
+    return (ho, wo), ((ho - 1) * sh + kh, (wo - 1) * sw + kw)
 
 
 def maxpool_forward(x, window, stride, positions: bool = True):
@@ -301,9 +305,7 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     n, c, h, w = x.shape
     kh, kw = window
     sh, sw = stride
-    ho, wo = _pool_geometry((h, w), window, stride)
-    hp = (ho - 1) * sh + kh
-    wp = (wo - 1) * sw + kw
+    (ho, wo), (hp, wp) = _pool_geometry((h, w), window, stride)
     # flat index of tap (u, v) is window_start + u*W + v; Python ints, so
     # that the scan below keeps its unsigned dtype
     offsets = [u * w + v for u in range(kh) for v in range(kw)]
@@ -314,7 +316,7 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     step = _pool_chunk(c, (h, w), x.itemsize)
     for n0 in range(0, n, step):
         xc = x[n0:n0 + step]
-        xp = _channels_last(xc, (hp, wp), (0, 0), -np.inf)
+        xp = _channels_last(xc[:, :, :hp, :wp], (hp, wp), (0, 0), -np.inf)
         taps = [xp[:, u:u + (ho - 1) * sh + 1:sh, v:v + (wo - 1) * sw + 1:sw, :]
                 for u in range(kh) for v in range(kw)]
         best = taps[0].copy()
@@ -381,13 +383,9 @@ def _pool_counts(in_hw, window, stride, out_hw, dtype):
 def meanpool_forward(x, window, stride) -> np.ndarray:
     """Mean over each (truncated) window."""
     n, c, h, w = x.shape
-    kh, kw = window
-    sh, sw = stride
-    ho, wo = _pool_geometry((h, w), window, stride)
-    hp = (ho - 1) * sh + kh
-    wp = (wo - 1) * sw + kw
+    (ho, wo), (hp, wp) = _pool_geometry((h, w), window, stride)
     xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-    xp[:, :, :h, :w] = x
+    xp[:, :, :h, :w] = x[:, :, :hp, :wp]
     win = _window_view(xp, window, stride, (ho, wo))
     return win.sum(axis=(4, 5)) / _pool_counts((h, w), window, stride, (ho, wo), x.dtype)
 

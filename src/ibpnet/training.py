@@ -10,10 +10,14 @@ cotangent dy0. The regularized variants add passes over the network
   tangents with the cotangents cached by the main backward pass, folded into
   dw by one contraction of x + beta * tangent per weight layer.
 * pred-ibp / tbp: per tangent vector, a push to the prediction layer, an lp
-  penalty there, and a pull of beta times its gradient that adds beta * aux
-  into the main backward's dw. The prediction layer is where the loss is
-  seeded (the logits under nll, below a final softmax), so every pass runs
-  over the same layers. pred-ibp is exactly tbp with dy0 as its one tangent.
+  penalty there, and a pull of beta times its gradient that records a term
+  per weight layer: the pull's rows on an FC layer, their contraction on a
+  conv layer. The main backward leaves dw to the end of the step, where one
+  weight_grad_sum per weight layer adds the terms to the main contraction,
+  on an FC layer as one stacked GEMM. The prediction layer is where
+  the loss is seeded (the logits under nll, below a final softmax), so
+  every pass runs over the same layers. pred-ibp is exactly tbp with dy0 as
+  its one tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
   the four-pass route becomes one push plus the folded contractions.
@@ -185,8 +189,9 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
 def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> float:
     """Shared pred-ibp / tbp machinery: per tangent, a linearized push through
     layers[:top] (the logits under nll), an lp penalty there, and a pull of
-    beta times its gradient over the same layers, adding into the main dw;
-    none at beta 0 or for a zero seed. Returns the summed penalty."""
+    beta times its gradient over the same layers, recorded for the one
+    contraction per weight layer that then forms dw; no pull at beta 0 or
+    for a zero seed. Returns the summed penalty."""
     total = 0.0
     for t in tangents:
         n = t.shape[0]
@@ -195,13 +200,14 @@ def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> fl
         total += raw / n
         if cfg.beta != 0.0 and seed.any():
             net.lin_vjp(cfg.beta * seed / n, upto=top)
+    net.aux_from_cot(0.0)  # the pulls carry beta
     return total
 
 
 def step_pred_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Prediction IBP: tbp with the input cotangent as the single tangent."""
     x, labels = batch
-    loss, dy0, top = _main_passes(net, x, labels, cfg)
+    loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
     aux = _tangent_lp_passes(net, [dy0], cfg, top)
     return StepResult(loss, aux, GradientSet.capture(net))
 
@@ -209,7 +215,7 @@ def step_pred_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
 def step_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Tangent propagation, original four-pass form, one push+pull per tangent."""
     x, labels = batch
-    loss, _, top = _main_passes(net, x, labels, cfg, pull=False)
+    loss, _, top = _main_passes(net, x, labels, cfg, pull=False, fold=True)
     aux = _tangent_lp_passes(net, tangents, cfg, top)
     return StepResult(loss, aux, GradientSet.capture(net))
 
@@ -288,13 +294,21 @@ def run_step(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult
 
 class SgdMomentum:
     """Classical momentum on a step's dw and db: v <- m*v + g, w <- w - lr*v,
-    with lr = alpha * decay**epoch."""
+    with lr = alpha * decay**epoch.
+
+    The first update of each epoch but the run's first, after moving the
+    weights, zeroes the velocity entries below the dtype's smallest normal
+    value. A velocity whose gradient stays zero (a dead unit's weights)
+    decays into subnormal values, where m*v rounds back to v for the
+    smallest, and subnormal arithmetic makes every update several times
+    slower. lr*v of such a velocity moves no weight above about 1e-30."""
 
     def __init__(self, net: Network, cfg: TrainConfig):
         self.cfg = cfg
         self.velocity = [
             (np.zeros_like(w), np.zeros_like(b)) for w, b in net.params()
         ]
+        self.epoch = None  # of the latest update
 
     def lr_at(self, epoch: int) -> float:
         return self.cfg.alpha * self.cfg.decay ** epoch
@@ -302,6 +316,8 @@ class SgdMomentum:
     def update(self, net: Network, grads: GradientSet, epoch: int):
         lr = self.lr_at(epoch)
         m = self.cfg.momentum
+        flush = self.epoch is not None and epoch != self.epoch
+        self.epoch = epoch
         for (w, b), (vw, vb), dw, db in zip(net.params(), self.velocity, grads.dw, grads.db):
             if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                 raise NumericError("non-finite gradient in sgd update")
@@ -311,6 +327,9 @@ class SgdMomentum:
             vb *= m
             vb += db
             b -= lr * vb
+            if flush:
+                for v in (vw, vb):
+                    v[np.abs(v) < np.finfo(v.dtype).tiny] = 0.0
 
 
 @dataclass

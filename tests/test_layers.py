@@ -81,10 +81,11 @@ class TestFullyConnected:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_aux_paths_agree_and_accumulate(self):
-        # lin_vjp adds the contraction of the cached tangent input with the
-        # cotangent it is given into dw; the fold contracts x + beta * tangent
-        # input with the cotangent cached by vjp, so it adds beta times that
-        # to bp's dw
+        # lin_vjp records the cached tangent input with the cotangent it is
+        # given; aux_from_cot contracts x + beta * tangent input with the
+        # cotangent cached by vjp, and every recorded pair, so it adds beta
+        # times the fold and each pair's contraction to bp's dw, then drops
+        # the record
         rng = np.random.default_rng(4)
         fc = FullyConnected(6, 4, rng)
         x = rng.normal(size=(3, 6))
@@ -92,18 +93,35 @@ class TestFullyConnected:
         fc.forward(x)
         fc.vjp(dy)
         dw, db = fc.dw.copy(), fc.db
-        fc.jvp(rng.normal(size=(3, 6)))
+        t = rng.normal(size=(3, 6))
+        fc.jvp(t)
+        once = fc.weight_grad(t, dy)[0]
         fc.lin_vjp(dy)
-        added = fc.dw
-        fc.dw = np.zeros_like(fc.w)
         fc.lin_vjp(dy)
-        once = fc.dw.copy()
-        np.testing.assert_array_equal(added, dw + once)
-        fc.lin_vjp(dy)
-        np.testing.assert_array_equal(fc.dw, 2.0 * once)
+        assert [(a is fc.tan_in, d.shape) for a, d in fc.pulls] == [(True, (3, 4))] * 2
+        Network([fc]).aux_from_cot(0.5)
+        np.testing.assert_allclose(fc.dw, dw + 2.5 * once, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(fc.db, db)
+        assert fc.pulls == []
         Network([fc]).aux_from_cot(0.5)
         np.testing.assert_allclose(fc.dw, dw + 0.5 * once, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(fc.db, db)
+
+    def test_weight_grad_sum_stacks_the_rows_into_one_gemm(self):
+        # without pulls, weight_grad bit for bit; with them, one contraction
+        # of the main and pulled rows stacked, equal to the pair-by-pair sum
+        # to rounding, with db from the main cotangent alone
+        rng = np.random.default_rng(41)
+        fc = FullyConnected(6, 4, rng)
+        pairs = [(rng.normal(size=(3, 6)), rng.normal(size=(3, 4))) for _ in range(3)]
+        for got, want in zip(fc.weight_grad_sum(*pairs[0], []), fc.weight_grad(*pairs[0])):
+            np.testing.assert_array_equal(got, want)
+        calls, inner = [], fc.weight_grad
+        fc.weight_grad = lambda a, dy: calls.append(a.shape) or inner(a, dy)
+        dw, db = fc.weight_grad_sum(*pairs[0], pairs[1:])
+        assert calls == [(9, 6)]
+        want = sum(inner(a, d)[0] for a, d in pairs)
+        np.testing.assert_allclose(dw, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(db, pairs[0][1].sum(axis=0))
 
     def test_he_init_stats(self):
         rng = np.random.default_rng(5)
@@ -144,6 +162,9 @@ class TestConv2DLayer:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_aux_paths_agree(self):
+        # as for the FC layer, but the conv records each pull's contraction,
+        # a weight-sized term, and adds the terms to the main contraction in
+        # pull order
         rng = np.random.default_rng(9)
         conv = self.make(rng)
         x = rng.normal(size=(2, 2, 5, 5))
@@ -151,13 +172,20 @@ class TestConv2DLayer:
         conv.forward(x)
         conv.vjp(dy)
         dw, db = conv.dw.copy(), conv.db
-        conv.jvp(rng.normal(size=x.shape))
+        t1, t2 = rng.normal(size=x.shape), rng.normal(size=x.shape)
+        d2 = rng.normal(size=dy.shape)
+        conv.jvp(t1)
         conv.lin_vjp(dy)
-        added = conv.dw
-        conv.dw = np.zeros_like(conv.w)
-        conv.lin_vjp(dy)
-        aux = conv.dw
-        np.testing.assert_allclose(added, dw + aux, rtol=1e-12, atol=1e-15)
+        conv.jvp(t2)
+        conv.lin_vjp(d2)
+        assert [term.shape for term in conv.pulls] == [conv.w.shape] * 2
+        Network([conv]).aux_from_cot(0.0)
+        want = conv.weight_grad(x, dy)[0]
+        want += conv.weight_grad(t1, dy)[0]
+        want += conv.weight_grad(t2, d2)[0]
+        np.testing.assert_array_equal(conv.dw, want)
+        np.testing.assert_array_equal(conv.db, db)
+        aux = conv.weight_grad(t2, dy)[0]
         Network([conv]).aux_from_cot(0.5)
         np.testing.assert_allclose(conv.dw, dw + 0.5 * aux, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(conv.db, db)
@@ -365,12 +393,12 @@ class TestCacheLifetimes:
         fc = FullyConnected(4, 3, rng)
         fc.forward(rng.normal(size=(2, 4)))
         fc.jvp(rng.normal(size=(2, 4)))
-        # no backward yet, so no dw for lin_vjp to add into
-        with pytest.raises(StateError, match="FullyConnected weight gradient"):
+        # no backward yet, so no record for lin_vjp to add its pair to
+        with pytest.raises(StateError, match="FullyConnected pull record"):
             fc.lin_vjp(np.ones((2, 3)))
         fc.vjp(np.ones((2, 3)), _dw=False)
-        with pytest.raises(StateError, match="FullyConnected weight gradient"):
-            fc.lin_vjp(np.ones((2, 3)))
+        fc.lin_vjp(np.ones((2, 3)))
+        assert len(fc.pulls) == 1
         fc = FullyConnected(4, 3, rng)
         fc.forward(rng.normal(size=(2, 4)))
         fc.vjp(np.ones((2, 3)))
@@ -397,16 +425,16 @@ class TestLinVjpPull:
         layer.jvp(rng.normal(size=x_shape))
         delta = rng.normal(size=dy_shape)
         if layer.has_params:
-            layer.dw = np.zeros_like(layer.w)  # lin_vjp adds into dw
+            layer.pulls = []  # as a backward starts the record
         pulled = layer.lin_vjp(delta)
         np.testing.assert_array_equal(pulled, layer.vjp_linear(delta))
-        if layer.has_params:
-            once = layer.dw.copy()
-            layer.dw[:] = 0.0
         assert layer.lin_vjp(delta, pull=False) is None
         if layer.has_params:
-            # the contraction still runs, bitwise as with the pull
-            np.testing.assert_array_equal(layer.dw, once)
+            # the term is still recorded, bitwise as with the pull (the
+            # arrays of an FC layer's rows, the rows of a conv's term)
+            first, second = layer.pulls
+            for a, b in zip(first, second):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("make, x_shape, dy_shape", PULL_CASES)
     def test_vjp_without_pull_fills_the_same_caches(self, make, x_shape, dy_shape):
@@ -459,11 +487,11 @@ def every_pass(net):
     weight_layers = [(i, layer) for i, layer in layers if layer.has_params]
     for i, layer in weight_layers:
         outs[i, "fc/conv", "dw"], outs[i, "fc/conv", "db"] = layer.dw, layer.db
-        layer.dw = np.zeros_like(layer.w)  # lin_vjp adds into dw
     walk("vjp_linear", rng.normal(size=y.shape), top_down, lambda l, a: l.vjp_linear(a))
     walk("lin_vjp", rng.normal(size=y.shape), top_down, lambda l, a: l.lin_vjp(a))
     for i, layer in weight_layers:
-        outs[i, "fc/conv", "lin_vjp dw"] = layer.dw
+        zeros = np.zeros_like(layer.x), np.zeros_like(layer.cot_out)
+        outs[i, "fc/conv", "lin_vjp dw"] = layer.weight_grad_sum(*zeros, layer.pulls)[0]
     net.aux_from_cot(0.5)
     for i, layer in weight_layers:
         outs[i, "fc/conv", "aux_from_cot dw"] = layer.dw

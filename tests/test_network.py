@@ -23,10 +23,10 @@ def dws(net):
     return [l.dw for l in net.param_layers]
 
 
-def zero_dws(net):
-    # lin_vjp adds into the dw of a backward pass; zeros leave its term alone
+def start_records(net):
+    # as a backward does: lin_vjp records its pull terms from here on
     for layer in net.param_layers:
-        layer.dw = np.zeros_like(layer.w)
+        layer.pulls = []
 
 
 class TestPasses:
@@ -67,10 +67,11 @@ class TestPasses:
         full = net.jvp(v)
         np.testing.assert_array_equal(full, net.layers[-1].jvp(manual))
 
-    def test_lin_vjp_adds_into_the_dw_each_backward_allocates(self):
-        # the pull adds into the dw of the latest backward, in place; the next
-        # backward allocates afresh, so gradients captured before it keep
-        # their values and a second step does not carry the first one's term
+    def test_lin_vjp_records_until_aux_from_cot_and_each_step_allocates(self):
+        # the pull records its pairs until aux_from_cot contracts them into a
+        # fresh dw and drops them; the next step allocates afresh, so
+        # gradients captured before it keep their values and a second step
+        # does not carry the first one's term; a backward drops any record
         rng = np.random.default_rng(3)
         net = small_net()
         x, dy = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
@@ -78,14 +79,15 @@ class TestPasses:
 
         def step():
             net.forward(x)
-            net.vjp(dy)
+            net.vjp(dy, upto=-1)
             bp = [dw.copy() for dw in dws(net)]
-            held = dws(net)
+            net.vjp(dy, upto=-1, _dw=False)
             net.jvp(v, upto=-1)
             net.lin_vjp(delta, upto=-1)
-            for layer, dw in zip(net.param_layers, held):
-                assert layer.dw is dw
-            return bp, held
+            assert [len(l.pulls) for l in net.param_layers] == [1, 1]
+            net.aux_from_cot(0.0)
+            assert [l.pulls for l in net.param_layers] == [[], []]
+            return bp, dws(net)
 
         bp, first = step()
         snapshot = [dw.copy() for dw in first]
@@ -97,12 +99,16 @@ class TestPasses:
             np.testing.assert_array_equal(old, snap)
             np.testing.assert_array_equal(b2, b)
             np.testing.assert_array_equal(new, snap)
+        net.lin_vjp(delta, upto=-1)
+        net.vjp(dy, upto=-1)
+        assert [l.pulls for l in net.param_layers] == [[], []]
 
     def test_aux_from_cot_folds_the_aux_gradient_into_dw(self):
         # one contraction of x + beta * tan_in per weight layer: bp's dw plus
-        # beta times the term a linearized pull seeded like the backward adds
-        # into a zeroed dw; at beta 0 or with all-zero tangents, bp's dw bit
-        # for bit
+        # beta times the contraction of the pair a linearized pull seeded
+        # like the backward records; that pair, contracted with the main one
+        # at beta 0, adds it once; at beta 0 or with all-zero tangents and
+        # no record, bp's dw bit for bit
         rng = np.random.default_rng(5)
         net = small_net()
         x = rng.normal(size=(4, 6))
@@ -117,14 +123,14 @@ class TestPasses:
                 np.testing.assert_array_equal(layer.dw, dw)
                 np.testing.assert_array_equal(layer.db, db)
         net.jvp(rng.normal(size=x.shape), upto=-1)
-        zero_dws(net)
         net.lin_vjp(seed, upto=-1)
-        aux = dws(net)
-        net.aux_from_cot(0.3)
-        for layer, (dw, db), a in zip(net.param_layers, bp, aux):
-            assert a.any()
-            np.testing.assert_allclose(layer.dw, dw + 0.3 * a, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(layer.db, db)
+        aux = [l.weight_grad(*l.pulls[0])[0] for l in net.param_layers]  # FC rows
+        for beta, scale in ((0.0, 1.0), (0.3, 0.3)):
+            net.aux_from_cot(beta)  # the first call drops the record
+            for layer, (dw, db), a in zip(net.param_layers, bp, aux):
+                assert a.any()
+                np.testing.assert_allclose(layer.dw, dw + scale * a, rtol=1e-12, atol=1e-15)
+                np.testing.assert_array_equal(layer.db, db)
 
     def test_vjp_can_leave_the_weight_contraction_to_aux_from_cot(self):
         rng = np.random.default_rng(6)
@@ -213,16 +219,18 @@ class TestLinVjpStopsAtLowestWeightLayer:
         for n in (net, ref):
             n.forward(x, train=True)
             n.jvp(v, upto=-1)
-            zero_dws(n)
+            start_records(n)
         pulled = record_calls(net)
         assert net.lin_vjp(delta, upto=-1) is None
-        assert pulled == [4, 3]  # fc2 and relu; fc1 only contracts
+        assert pulled == [4, 3]  # fc2 and relu; fc1 only records
         d = delta
         for layer in reversed(ref.layers[:-1]):  # a full pull to the input
             d = layer.lin_vjp(d)
-        for got, want in zip(dws(net), dws(ref)):
-            assert want.any()
-            np.testing.assert_array_equal(got, want)
+        for got, want in zip(net.param_layers, ref.param_layers):  # FC rows
+            (t, d), (t_ref, d_ref) = got.pulls + want.pulls
+            assert d_ref.any()
+            np.testing.assert_array_equal(t, t_ref)
+            np.testing.assert_array_equal(d, d_ref)
 
     def test_main_backward_without_pull_stops_there_too(self):
         rng = np.random.default_rng(8)
@@ -246,11 +254,11 @@ class TestLinVjpStopsAtLowestWeightLayer:
         x = rng.normal(size=(4, 1, 6, 6))
         net.forward(x, train=True)
         net.jvp(rng.normal(size=x.shape), upto=2)
-        zero_dws(net)
+        start_records(net)
         pulled = record_calls(net)
         assert net.lin_vjp(rng.normal(size=(4, 1, 3, 3)), upto=2) is None
         assert pulled == []
-        assert not any(dw.any() for dw in dws(net))
+        assert not any(l.pulls for l in net.param_layers)
         ran = record_calls(net, "vjp")
         assert net.vjp(rng.normal(size=(4, 1, 3, 3)), upto=2, pull=False) is None
         assert ran == pulled == []
@@ -382,6 +390,21 @@ class TestLayerFromSpec:
             rebuilt = layer_from_spec(layer.spec(), None)
             assert rebuilt.spec() == layer.spec()
             assert rebuilt.w.shape == layer.w.shape and not rebuilt.w.any()
+
+    @pytest.mark.parametrize("kind", ["maxpool", "meanpool"])
+    @pytest.mark.parametrize("window, stride, hw, out_hw", [
+        ([2, 2], [3, 3], (12, 12), (4, 4)),  # row and column 11 lie in no window
+        ([3, 3], [2, 2], (1, 5), (1, 2)),    # a window taller than the map
+    ])
+    def test_pool_records_a_file_may_hold_run_every_pass(self, kind, window, stride,
+                                                         hw, out_hw):
+        rng = np.random.default_rng(9)
+        layer = layer_from_spec({"kind": kind, "window": window, "stride": stride}, None)
+        x = rng.normal(size=(2, 3) + hw)
+        assert layer.forward(x, train=True).shape == (2, 3) + out_hw
+        dy = rng.normal(size=(2, 3) + out_hw)
+        assert layer.vjp(dy).shape == x.shape
+        assert layer.jvp(rng.normal(size=x.shape)).shape == dy.shape
 
     @pytest.mark.parametrize("dtype", ["float16", "<f8", ["float32"]])
     def test_unknown_dtype(self, dtype):

@@ -51,8 +51,8 @@ def conv_loops(x, w, pad, stride):
 def pool_windows(h, w, window, stride):
     kh, kw = window
     sh, sw = stride
-    ho = min(-((h - kh) // -sh) + 1, (h - 1) // sh + 1)
-    wo = min(-((w - kw) // -sw) + 1, (w - 1) // sw + 1)
+    ho = min(max(0, -((h - kh) // -sh)) + 1, (h - 1) // sh + 1)
+    wo = min(max(0, -((w - kw) // -sw)) + 1, (w - 1) // sw + 1)
     for i in range(ho):
         for j in range(wo):
             yield i, j, i * sh, min(i * sh + kh, h), j * sw, min(j * sw + kw, w)
@@ -132,8 +132,9 @@ def ref_maxpool_forward(x, window, stride):
     sh, sw = stride
     ho = pool_output_extent(h, kh, sh)
     wo = pool_output_extent(w, kw, sw)
-    xp = np.full((n, c, (ho - 1) * sh + kh, (wo - 1) * sw + kw), -np.inf)
-    xp[:, :, :h, :w] = x
+    hp, wp = (ho - 1) * sh + kh, (wo - 1) * sw + kw
+    xp = np.full((n, c, hp, wp), -np.inf)
+    xp[:, :, :h, :w] = x[:, :, :hp, :wp]
     flat = tensor._window_view(xp, window, stride, (ho, wo)).reshape(n, c, ho, wo, kh * kw)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
@@ -248,6 +249,15 @@ class TestConv2D:
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
+# pool geometries with pixels that no window reaches (stride beyond the
+# window) or with a window wider than its axis
+ODD_POOLS = [
+    ((12, 12), (2, 2), (3, 3)),
+    ((1, 5), (3, 3), (2, 2)),
+    ((2, 1), (3, 2), (2, 2)),
+]
+
+
 class TestPooling:
     def test_extent_covers_every_pixel(self):
         # output extents: enough windows to cover the axis, none fully padded
@@ -255,12 +265,15 @@ class TestPooling:
         assert pool_output_extent(7, 3, 2) == 3   # exact fit
         assert pool_output_extent(5, 2, 2) == 3   # last window is one column
         assert pool_output_extent(4, 4, 4) == 1
+        assert pool_output_extent(1, 3, 2) == 1   # one window, truncated to 1
+        assert pool_output_extent(12, 2, 3) == 4  # row 11 lies in no window
+        assert pool_output_extent(0, 2, 2) == 0
 
     @pytest.mark.parametrize("hw,window,stride", [
         ((6, 6), (3, 3), (2, 2)),
         ((8, 5), (3, 2), (2, 2)),
         ((7, 7), (2, 2), (2, 2)),
-    ])
+    ] + ODD_POOLS)
     def test_maxpool_against_loops(self, hw, window, stride):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3) + hw)
@@ -286,7 +299,7 @@ class TestPooling:
     @pytest.mark.parametrize("hw,window,stride", [
         ((6, 6), (2, 2), (2, 2)),
         ((7, 5), (3, 3), (2, 2)),
-    ])
+    ] + ODD_POOLS)
     def test_meanpool_against_loops(self, hw, window, stride):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 2) + hw)
@@ -295,15 +308,29 @@ class TestPooling:
             meanpool_loops(x, window, stride), rtol=1e-12,
         )
 
-    def test_meanpool_backward_is_adjoint(self):
+    @pytest.mark.parametrize("hw,window,stride", [((7, 5), (3, 3), (2, 2))] + ODD_POOLS)
+    def test_meanpool_backward_is_adjoint(self, hw, window, stride):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 2, 7, 5))
-        out = meanpool_forward(x, (3, 3), (2, 2))
+        x = rng.normal(size=(2, 2) + hw)
+        out = meanpool_forward(x, window, stride)
         dy = rng.normal(size=out.shape)
-        dx = meanpool_backward(dy, (3, 3), (2, 2), (7, 5))
+        dx = meanpool_backward(dy, window, stride, hw)
         np.testing.assert_allclose(
             float((dy * out).sum()), float((dx * x).sum()), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("hw,window,stride", ODD_POOLS)
+    def test_maxpool_scatter_and_gather_are_adjoint(self, hw, window, stride):
+        # pixels that no window reaches get no cotangent
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 2) + hw)
+        _, arg = maxpool_forward(x, window, stride)
+        dy, v = rng.normal(size=arg.shape), rng.normal(size=x.shape)
+        dx = maxpool_scatter(dy, arg, hw)
+        np.testing.assert_allclose(float((dx * v).sum()),
+                                   float((dy * maxpool_gather(v, arg, hw)).sum()), rtol=1e-12)
+        if hw == (12, 12):
+            assert not dx[:, :, 11].any() and not dx[:, :, :, 11].any()
 
 
 # (name, input (C, H, W), filters (F, C, kh, kw), pad): the mnist-paper convs,

@@ -85,6 +85,38 @@ class TestSgdMomentum:
         np.testing.assert_allclose(1.0 - net.layers[0].w[0, 0],
                                    0.1 * 0.5 * (2 + 0.9), rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_subnormal_velocity_is_zero_after_the_next_epochs_first_update(self, dtype):
+        # a dead unit's velocity decays into subnormal values, where
+        # 0.9 * 4 * (smallest subnormal) rounds back to itself; the first
+        # update of a later epoch zeroes it after moving the weights, so
+        # they equal an unflushed update's bit for bit
+        cfg = TrainConfig(alpha=0.1, momentum=0.9, decay=1.0)
+        nets = [Network([FullyConnected(1, 1, None, dtype)]) for _ in range(2)]
+        opts = [SgdMomentum(net, cfg) for net in nets]
+
+        def grads(g):
+            return GradientSet(dw=[np.full((1, 1), g, dtype)], db=[np.full(1, g, dtype)])
+
+        stuck = 4 * np.nextafter(dtype(0), dtype(1))
+        for net, opt in zip(nets, opts):
+            opt.update(net, grads(0.5), epoch=0)
+            for v in opt.velocity[0]:
+                v[...] = stuck
+            opt.update(net, grads(0.0), epoch=0)
+            assert [v.item() for v in opt.velocity[0]] == [stuck, stuck]
+        opts[0].update(nets[0], grads(0.0), epoch=1)
+        opts[1].update(nets[1], grads(0.0), epoch=0)  # unflushed reference
+        assert [v.item() for v in opts[0].velocity[0]] == [0.0, 0.0]
+        assert [v.item() for v in opts[1].velocity[0]] == [stuck, stuck]
+        for a, b in zip(*(net.params()[0] for net in nets)):
+            assert a.item() != 0.0
+            np.testing.assert_array_equal(a, b)
+        # later updates of the same epoch leave a normal velocity alone
+        opts[0].update(nets[0], grads(0.5), epoch=1)
+        opts[0].update(nets[0], grads(0.0), epoch=1)
+        assert opts[0].velocity[0][0].item() == dtype(0.9) * dtype(0.5)
+
     def test_lr_decay_schedule(self):
         cfg = TrainConfig(alpha=0.1, decay=0.98)
         opt = SgdMomentum(one_param_net(), cfg)
@@ -257,11 +289,12 @@ class TestAuxPullStopsAtLowestWeightLayer:
     @staticmethod
     def full_pull_reference(net, batch, tangents, cfg):
         """(aux loss, dw, db) with each tangent's beta-scaled seed pulled down
-        to the input, adding into the dw of the main backward."""
+        to the input, its recorded pull terms contracted with the main backward's
+        by aux_from_cot, as the step contracts them."""
         x, labels = batch
         n = x.shape[0]
         probs = net.forward(x, train=True)
-        dy0 = net.vjp((probs - labels) / n, upto=len(net.layers) - 1)
+        dy0 = net.vjp((probs - labels) / n, upto=len(net.layers) - 1, _dw=False)
         total = 0.0
         for t in (tangents if tangents is not None else [dy0]):
             raw, seed = aux_loss_lp(net.jvp(t, upto=-1), cfg.r)
@@ -269,6 +302,7 @@ class TestAuxPullStopsAtLowestWeightLayer:
             delta = cfg.beta * seed / n
             for layer in reversed(net.layers[:-1]):  # below the final softmax
                 delta = layer.lin_vjp(delta)
+        net.aux_from_cot(0.0)
         return total, [l.dw for l in net.param_layers], [l.db for l in net.param_layers]
 
     @pytest.mark.parametrize("r", [1, 2])

@@ -1,5 +1,6 @@
 """Counted work per training step: the multiply-adds of the conv kernels and
-the FC passes in one `run_step` on `mnist-paper`, from shapes alone.
+the FC passes in one `run_step` on `mnist-paper`, from shapes alone, and the
+weight contractions each FC layer makes.
 
 Unlike the timed cost ratios of criterion 8, these counts read no clock, so
 they cannot flake: a change that adds or drops a pass changes a pin here.
@@ -29,9 +30,23 @@ STEP_MACS = {
 }
 
 
+# weight_grad calls per FC layer in one step: one contraction forms dw
+# whatever the pulls, and at contracts once per gradient set it averages
+FC_CONTRACTIONS = {**{algo: 1 for algo in ALGOS}, "at": 2}
+
+
 def _filter_macs(filters) -> int:
     """Multiply-adds per output (or output-cotangent) value of a conv: C*kh*kw."""
     return int(np.prod(filters.shape[1:]))
+
+
+def _run_step(algo: str, net) -> None:
+    """One run_step of algo on net at batch 32 with five tangents."""
+    rng = np.random.default_rng(0)
+    x, labels = make_batch(rng, BATCH, (1, 28, 28), 10)
+    tangents = rng.normal(size=(TANGENTS, BATCH, 1, 28, 28))  # one batch per tangent
+    cfg = TrainConfig(algo=algo, beta=0.1, r=2, epsilon=0.1)
+    run_step(net, (x, labels), cfg, tangents)
 
 
 def count_step_macs(monkeypatch, algo: str) -> int:
@@ -65,12 +80,7 @@ def count_step_macs(monkeypatch, algo: str) -> int:
     monkeypatch.setattr(fc, "jvp", counted(fc.jvp, fc_macs))
     monkeypatch.setattr(fc, "vjp_linear", counted(fc.vjp_linear, fc_macs))
     monkeypatch.setattr(fc, "weight_grad", counted(fc.weight_grad, fc_macs))
-
-    rng = np.random.default_rng(0)
-    x, labels = make_batch(rng, BATCH, (1, 28, 28), 10)
-    tangents = rng.normal(size=(TANGENTS, BATCH, 1, 28, 28))  # one batch per tangent
-    cfg = TrainConfig(algo=algo, beta=0.1, r=2, epsilon=0.1)
-    run_step(mnist_paper_net(0), (x, labels), cfg, tangents)
+    _run_step(algo, mnist_paper_net(0))
     return total
 
 
@@ -98,3 +108,17 @@ class TestWorkPerStep:
         assert step_macs["pred-ibp"] > step_macs["loss-ibp"]
         assert step_macs["fast-tbp"] < step_macs["tbp"]
         assert step_macs["fast-at"] < step_macs["at"]
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_one_fc_weight_contraction_per_step(self, monkeypatch, algo):
+        # tbp's five pulls and pred-ibp's one add rows to the contraction
+        # that forms dw, not contractions of their own
+        fc, calls = layers.FullyConnected, []
+        inner = fc.weight_grad
+        monkeypatch.setattr(fc, "weight_grad",
+                            lambda layer, a, dy: calls.append(layer) or inner(layer, a, dy))
+        net = mnist_paper_net(0)
+        _run_step(algo, net)
+        fcs = [l for l in net.layers if isinstance(l, fc)]
+        assert [calls.count(l) for l in fcs] == [FC_CONTRACTIONS[algo]] * len(fcs)
+        assert len(calls) == len(fcs) * FC_CONTRACTIONS[algo]
