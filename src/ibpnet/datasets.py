@@ -146,6 +146,8 @@ def load_mnist(images_path, labels_path, mean_pixel: float | None = None) -> Dat
     otherwise the split's own mean is used.
     """
     images = read_idx(images_path, 3)
+    if images.shape[0] == 0:
+        raise FormatError(f"{images_path}: holds no images")
     labels = read_idx(labels_path, 1)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(f"{labels_path}: count mismatch: {len(labels)} labels, {len(images)} images")
@@ -177,6 +179,8 @@ def load_cifar10(batch_paths, mean_pixel: float | None = None) -> Dataset:
 def subset(ds: Dataset, n: int, seed: int) -> Dataset:
     """Class-stratified subset: equal per-class counts (remainder spread over
     the lowest class ids), drawn without replacement."""
+    if n < 1:
+        raise ConfigError(f"subset size must be at least 1, got {n}")
     if n > len(ds):
         raise ConfigError(f"subset size {n} exceeds dataset size {len(ds)}")
     rng = rng_stream(seed, "subset")

@@ -245,17 +245,17 @@ class FrozenChain:
     """The network linearized at one batch, with all data-dependent pieces
     captured as constants; push/pull re-apply it with oracle arithmetic.
 
-    The chain covers layers[:upto]; the checks pass the index the loss is
-    seeded at, so pushes end at the logits under nll as the steps' do.
+    The chain covers net.seeded, so pushes end at the logits under nll as
+    the steps' do.
     Weight matrices are read live from the layers at every evaluation, so
     finite-difference perturbations of the weights are visible while the
     frozen Jacobian structure is not re-derived.
     """
 
-    def __init__(self, net: Network, x, upto: int | None = None):
+    def __init__(self, net: Network, x):
         self.frozen = []  # one (push, pull) pair per layer
         a = np.asarray(x, dtype=np.float64)
-        for layer in net.layers[:upto]:
+        for layer in net.seeded:
             self.frozen.append(_freeze(layer, a))
             a = layer.forward(a)
 
@@ -290,7 +290,7 @@ def check_main_grad_fd(net: Network, batch, cfg: TrainConfig, h: float = 1e-5) -
     grads = run_step(net, batch, cfg).grads
     points = [x]  # the inputs whose mean loss the step differentiates
     if cfg.algo in ADVERSARIAL:
-        _, dy0, _ = _main_passes(net, x, labels, cfg, train=False)
+        _, dy0 = _main_passes(net, x, labels, cfg, train=False)
         xs = adversarial_shift(x, dy0, cfg.epsilon)
         points = [x, xs] if cfg.algo == "at" else [xs]
     eval_fn = lambda: sum(_forward_loss(net, p, labels, cfg, train=False)[0]
@@ -326,8 +326,8 @@ def check_aux_grad_fd(net: Network, batch, cfg: TrainConfig, tangents=None) -> C
     n = x.shape[0]
     name = f"aux-fd/{cfg.algo}" + ("" if cfg.algo == "fast-tbp" else f"/r{cfg.r}")
     aux = step_aux(net, batch, cfg, tangents)[1]
-    _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
-    chain = FrozenChain(net, x, upto=top)
+    _, seed = _forward_loss(net, x, labels, cfg, train=False)
+    chain = FrozenChain(net, x)
 
     if cfg.algo == "loss-ibp":
         scale = n if cfg.r == 2 else 1.0
@@ -407,11 +407,11 @@ def check_fast_tbp_equivalence(net: Network, batch, tangent) -> CheckReport:
     x, labels = batch
     cfg = TrainConfig(algo="fast-tbp", beta=1.0)
     fast, fast_aux = step_aux(net, batch, cfg, [tangent])
-    _, seed, top = _forward_loss(net, x, labels, cfg, train=False)
-    net.vjp(seed, upto=top, pull=False, _dw=False)  # starts the pull record
-    out = net.jvp(tangent, upto=top)
+    _, seed = _forward_loss(net, x, labels, cfg, train=False)
+    net.vjp(seed, pull=False, _dw=False)  # starts the pull record
+    out = net.jvp(tangent)
     val = float((seed * out).sum())
-    net.lin_vjp(seed, upto=top)
+    net.lin_vjp(seed)
     # the recorded pull alone: a zero main pair adds nothing to it
     four = [l.weight_grad_sum(np.zeros_like(l.x), np.zeros_like(l.cot_out), l.pulls)[0]
             for l in net.param_layers]
@@ -427,7 +427,7 @@ def check_tbp_matches_pred_ibp(net: Network, batch, cfg_r: int = 1) -> CheckRepo
     x, labels = batch
     cfg_pred = TrainConfig(algo="pred-ibp", beta=1.0, r=cfg_r)
     cfg_tbp = TrainConfig(algo="tbp", beta=1.0, r=cfg_r)
-    _, dy0, _ = _main_passes(net, x, labels, cfg_pred, train=False)
+    _, dy0 = _main_passes(net, x, labels, cfg_pred, train=False)
     pred = run_step(net, batch, cfg_pred)
     tbp = run_step(net, batch, cfg_tbp, [dy0])
     pairs = [(f"layer{i}.w", a, b)
@@ -452,7 +452,7 @@ def check_fast_at_firstorder(net: Network, batch,
     cfg = TrainConfig(algo="bp")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError(f"eps list must be decreasing, got {list(eps_list)}")
-    loss0, dy0, _ = _main_passes(net, x, labels, cfg, train=False)
+    loss0, dy0 = _main_passes(net, x, labels, cfg, train=False)
     norm1 = float(np.abs(dy0).sum())
     rates = []
     for eps in eps_list:
@@ -572,7 +572,7 @@ def run_all_checks(seed: int = 0) -> list:
     reports.append(check_aux_grad_fd(net, batch, TrainConfig(algo="fast-tbp", beta=0.1),
                                      tangents=tangents))
 
-    _, dy0, _ = _main_passes(net, batch[0], batch[1], TrainConfig(algo="bp"), train=False)
+    _, dy0 = _main_passes(net, batch[0], batch[1], TrainConfig(algo="bp"), train=False)
     for tag, t in (("zero", np.zeros_like(batch[0])),
                    ("random", tangents[0]),
                    ("input-gradient", dy0)):

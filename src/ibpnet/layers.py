@@ -39,9 +39,10 @@ From these the base ``Layer`` builds:
   the record afresh.
 * ``weight_grad_sum(a, dy, pulls)``: by default ``weight_grad(a, dy)``
   with the recorded terms added to dw in pull order; db is dy's alone.
-* ``vjp(dy, _dw=False)`` caches ``cot_out`` only: ``Network.aux_from_cot``
-  then fills ``dw``/``db`` by ``weight_grad_sum``, with an auxiliary term
-  folded in.
+* ``aux_from_cot(beta)``, on parametric layers: after ``vjp(dy, _dw=False)``,
+  which caches ``cot_out`` only, fill ``dw``/``db`` by ``weight_grad_sum``
+  of ``x + beta * tan_in``, with the recorded pull terms added.
+  ``Network.aux_from_cot`` calls it once per weight layer.
 """
 
 from __future__ import annotations
@@ -129,6 +130,23 @@ class Layer:
         for term in pulls:
             dw += term
         return dw, db
+
+    def aux_from_cot(self, beta: float) -> None:
+        """dw and db, formed once per step after vjp(_dw=False) (weight layers
+        only): weight_grad_sum of the main pair (x + beta * tan_in, cot_out)
+        and the pull terms lin_vjp recorded since, which it then drops; db
+        comes from cot_out alone.
+
+        beta folds the last pushed tangent into the main contraction, for a
+        loss on the input cotangent (loss-ibp, fast-tbp). The pulls of
+        pred-ibp and tbp carry beta in their deltas, so those steps pass 0.
+        At beta 0 or with an all-zero tan_in and no recorded pull, x alone
+        is contracted, bitwise as by bp."""
+        a, t, c, pulls = (_need(getattr(self, k), f"{type(self).__name__} {k} cache")
+                          for k in ("x", "tan_in", "cot_out", "pulls"))
+        a = self.cast(a + beta * t) if beta != 0.0 and t.any() else a
+        self.dw, self.db = self.weight_grad_sum(a, c, pulls)
+        self.pulls = []
 
     def spec(self) -> dict:
         """The model-file record: kind, declared fields, non-float64 dtype."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import lp_norm, sign
+from .tensor import lp_norm
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray, op: str):
@@ -72,7 +72,7 @@ def aux_loss_lp(dy0: np.ndarray, r: int):
     """
     dy0 = np.asarray(dy0, dtype=np.float64)
     if r == 1:
-        return lp_norm(dy0, 1), sign(dy0)
+        return lp_norm(dy0, 1), np.sign(dy0)
     return lp_norm(dy0, 2), dy0.copy()
 
 

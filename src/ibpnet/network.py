@@ -36,7 +36,6 @@ from .layers import (
     ReLU,
     Sigmoid,
     Softmax,
-    _need,
 )
 
 MAGIC = b"IBPNET1"
@@ -66,74 +65,63 @@ class Network:
             x = layer.predict(x)
         return x
 
-    def vjp(self, dy: np.ndarray, upto: int | None = None,
-            pull: bool = True, _dw: bool = True) -> np.ndarray | None:
-        """Backward pass over layers[:upto]; fills dw/db and cot_out on
-        parametric layers and returns the cotangent at the network input.
-        With pull=False no caller reads it: the pass ends at the lowest weight
-        layer, which skips its pull, and returns None. upto lets a loss seed
-        the pass below the top layer (e.g. below a final softmax when the
-        seed already includes its Jacobian). _dw=False: see aux_from_cot."""
-        for layer, layer_pull in self._top_down(upto, pull):
+    @property
+    def seeded(self):
+        """The layers every pass spans: all but a final Softmax, whose Jacobian
+        the loss seed already holds, so that passes end at the logits."""
+        if self.layers and isinstance(self.layers[-1], Softmax):
+            return self.layers[:-1]
+        return self.layers
+
+    def vjp(self, dy: np.ndarray, pull: bool = True, _dw: bool = True) -> np.ndarray | None:
+        """Backward pass over the seeded layers; fills dw/db and cot_out on
+        parametric layers and returns the cotangent at the network input. With
+        pull=False no caller reads it: the pass ends at the lowest weight layer,
+        which skips its pull, and returns None. _dw=False: see aux_from_cot."""
+        for layer, layer_pull in self._top_down(pull):
             dy = layer.vjp(dy, pull=layer_pull, _dw=_dw)
         return dy if pull else None
 
-    def vjp_linear(self, dy: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """Cotangent pull through the frozen Jacobians of layers[:upto] only;
-        no gradient or cache buffer is written. vjp pulls through the same
-        per-layer vjp_linear, so the returned cotangent is bitwise equal to
-        the one a full backward pass would produce."""
-        for layer in reversed(self.layers[:upto]):
+    def vjp_linear(self, dy: np.ndarray) -> np.ndarray:
+        """Cotangent pull through the frozen Jacobians of the seeded layers
+        only; no gradient or cache buffer is written. vjp pulls through the
+        same per-layer vjp_linear, so the returned cotangent is bitwise equal
+        to the one a full backward pass would produce."""
+        for layer in reversed(self.seeded):
             dy = layer.vjp_linear(dy)
         return dy
 
-    def jvp(self, v: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """Tangent push through layers[:upto] linearized at the cached batch;
-        the training steps pass the index the loss is seeded at (below a
-        final softmax under nll), so the push ends at the logits."""
-        for layer in self.layers[:upto]:
+    def jvp(self, v: np.ndarray) -> np.ndarray:
+        """Tangent push through the seeded layers linearized at the cached
+        batch, so under nll the push ends at the logits."""
+        for layer in self.seeded:
             v = layer.jvp(v)
         return v
 
-    def lin_vjp(self, delta: np.ndarray, upto: int | None = None) -> None:
-        """Cotangent pull through the linearized layers[:upto] that records,
+    def lin_vjp(self, delta: np.ndarray) -> None:
+        """Cotangent pull through the linearized seeded layers that records,
         on each weight layer, the pull term of its delta and jvp's cached
         tangent input, for aux_from_cot to add into dw. Only those are read,
         so the pull stops at the lowest weight layer, which just records.
         Returns None; nothing runs without one."""
-        for layer, layer_pull in self._top_down(upto, pull=False):
+        for layer, layer_pull in self._top_down(pull=False):
             delta = layer.lin_vjp(delta, pull=layer_pull)
 
-    def _top_down(self, upto: int | None, pull: bool):
-        """(layer, pull) over layers[:upto], top first; without pull, only down
-        to the lowest weight layer, which gets pull=False (none without one)."""
-        stack = self.layers[:upto]
+    def _top_down(self, pull: bool):
+        """(layer, pull) over seeded, top first; without pull, only down to
+        the lowest weight layer, which gets pull=False (none without one)."""
+        stack = self.seeded
         low = 0 if pull else next((i for i, l in enumerate(stack) if l.has_params), len(stack))
         return [(stack[i], pull or i > low) for i in range(len(stack) - 1, low - 1, -1)]
 
     def aux_from_cot(self, beta: float):
         """Each weight layer's dw and db, formed once per step after
-        vjp(_dw=False): weight_grad_sum of the main pair (x + beta * tan_in,
-        cot_out) and the pull terms lin_vjp recorded since, which it then
-        drops; db comes from cot_out alone.
-
-        beta folds the last pushed tangent into the main contraction, for a
-        loss on the input cotangent (loss-ibp, fast-tbp). The pulls of
-        pred-ibp and tbp carry beta in their deltas, so those steps pass 0.
-        At beta 0 or with an all-zero tan_in and no recorded pull, x alone
-        is contracted, bitwise as by bp."""
+        vjp(_dw=False) by its Layer.aux_from_cot(beta)."""
         for layer in self.param_layers:
-            a, t, c, pulls = (_need(getattr(layer, k), f"{type(layer).__name__} {k} cache")
-                              for k in ("x", "tan_in", "cot_out", "pulls"))
-            a = layer.cast(a + beta * t) if beta != 0.0 and t.any() else a
-            layer.dw, layer.db = layer.weight_grad_sum(a, c, pulls)
-            layer.pulls = []
+            layer.aux_from_cot(beta)
 
     def params(self):
         return [(l.w, l.b) for l in self.param_layers]
-
-    def n_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.param_layers)
 
     # -- persistence --------------------------------------------------------
 

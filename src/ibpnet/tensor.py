@@ -32,11 +32,6 @@ _CONV_CHUNK_BYTES = 2 << 20  # patch matrix per conv chunk
 _POOL_CHUNK_BYTES = 1 << 20  # input per max-pool chunk
 
 
-def sign(t: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) == 0 (minimal-norm subgradient of |.|)."""
-    return np.sign(t)
-
-
 def lp_norm(t: np.ndarray, r: int) -> float:
     """(1/r) * sum(|t_i|^r) for r in {1, 2}."""
     if r not in (1, 2):
@@ -143,18 +138,14 @@ def _patch_stack(x, kernel, pad, stride, out_hw) -> np.ndarray:
 
 
 def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
-    """Cross-correlate x (N,C,H,W) or (C,H,W) with filters (F,C,kh,kw).
+    """Cross-correlate x (N,C,H,W) with filters (F,C,kh,kw).
 
     Out-of-bounds reads of the zero-padded input are zero. Returns
-    (N,F,Ho,Wo), or (F,Ho,Wo) when the input had no batch axis. Per batch
-    chunk, either the (F, C*kh*kw) filter matrix times each image's patch
-    stack, written straight into the NCHW output (when output rows outrun
-    kernel rows), or one channels-last patch matrix times the (kh*kw*C, F)
-    filter matrix.
+    (N,F,Ho,Wo). Per batch chunk, either the (F, C*kh*kw) filter matrix
+    times each image's patch stack, written straight into the NCHW output
+    (when output rows outrun kernel rows), or one channels-last patch
+    matrix times the (kh*kw*C, F) filter matrix.
     """
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.ndim != 4 or filters.ndim != 4:
         raise ShapeError(f"conv2d expects (N,C,H,W) and (F,C,kh,kw), got {x.shape} and {filters.shape}")
     if x.shape[1] != filters.shape[1]:
@@ -184,7 +175,7 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
         if bias is not None:
             y += bias
         out[n0:n0 + b] = y.reshape(b, ho, wo, f).transpose(0, 3, 1, 2)
-    return out[0] if single else out
+    return out
 
 
 def conv2d_weight_grad(x, dy, kernel, pad, stride):

@@ -15,9 +15,9 @@ cotangent dy0. The regularized variants add passes over the network
   conv layer. The main backward leaves dw to the end of the step, where one
   weight_grad_sum per weight layer adds the terms to the main contraction,
   on an FC layer as one stacked GEMM. The prediction layer is where
-  the loss is seeded (the logits under nll, below a final softmax), so
-  every pass runs over the same layers. pred-ibp is exactly tbp with dy0 as
-  its one tangent.
+  the loss is seeded (the logits under nll, below a final softmax): every
+  pass runs over the same layers, Network.seeded. pred-ibp is exactly tbp
+  with dy0 as its one tangent.
 * fast-tbp: the dot-product auxiliary loss sum_k dy0 . t_k is linear in the
   tangents, so it equals dy0 . sum_k t_k: the tangents are summed first and
   the four-pass route becomes one push plus the folded contractions.
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .layers import Softmax
 from .losses import (
     aux_loss_direction,
     aux_loss_dot,
@@ -54,7 +53,7 @@ from .losses import (
     squared_loss,
 )
 from .network import Network, batched_forward
-from .tensor import rng_stream, sign
+from .tensor import rng_stream
 
 ALGOS = ("bp", "loss-ibp", "pred-ibp", "tbp", "fast-tbp", "at", "fast-at")
 # the algorithms that read beta, r, tangent vectors and epsilon
@@ -123,45 +122,37 @@ class StepResult:
     grads: GradientSet
 
 
-def _top_index(net: Network) -> int:
-    """Index bounding the backward pass: below a final softmax (the nll seed
-    already contains its Jacobian), else the full stack."""
-    if net.layers and isinstance(net.layers[-1], Softmax):
-        return len(net.layers) - 1
-    return len(net.layers)
-
-
 def _forward_loss(net: Network, x, labels, cfg: TrainConfig, train: bool = True):
-    """Forward pass and loss seed, no backward. Returns (L, seed, top_index)."""
+    """Forward pass and loss seed, no backward. Returns (L, seed)."""
     return _loss_seed(net, net.forward(x, train=train), labels, cfg.algo)
 
 
 def _loss_seed(net: Network, out, labels, caller: str):
     """Loss and backward seed at the network output out; caller names the
-    computation in an error. Returns (L, seed, top_index)."""
-    top = _top_index(net)
-    if top < len(net.layers):
+    computation in an error. The seed is the gradient at the top of
+    net.seeded, the logits: nll_from_probs when that drops a final softmax.
+    Returns (L, seed)."""
+    if len(net.seeded) < len(net.layers):
         loss, seed = nll_from_probs(out, labels)
     else:
         loss, seed = nll_softmax_loss(out, labels)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss} in {caller}")
-    return loss, seed, top
+    return loss, seed
 
 
 def _main_passes(net: Network, x, labels, cfg: TrainConfig, train: bool = True,
                  pull: bool = True, fold: bool = False):
     """Forward, loss, backward (see Network.vjp); fold leaves dw and db to
-    Network.aux_from_cot. Returns (L, dy0, top_index)."""
-    loss, seed, top = _forward_loss(net, x, labels, cfg, train)
-    dy0 = net.vjp(seed, upto=top, pull=pull, _dw=not fold)
-    return loss, dy0, top
+    Network.aux_from_cot. Returns (L, dy0)."""
+    loss, seed = _forward_loss(net, x, labels, cfg, train)
+    return loss, net.vjp(seed, pull=pull, _dw=not fold)
 
 
 def step_bp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Plain backpropagation: two passes, main gradients only."""
     x, labels = batch
-    loss, _, _ = _main_passes(net, x, labels, cfg, pull=False)
+    loss, _ = _main_passes(net, x, labels, cfg, pull=False)
     return StepResult(loss, 0.0, GradientSet.capture(net))
 
 
@@ -174,32 +165,32 @@ def step_loss_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
     cotangent per weight layer then gives dw + beta * aux.
     """
     x, labels = batch
-    loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
+    loss, dy0 = _main_passes(net, x, labels, cfg, fold=True)
     raw, seed = aux_loss_lp(dy0, cfg.r)
     if cfg.r == 2:
         # dy0 carries 1/batch; rescale so the penalty is the batch mean of
         # per-sample values and beta transfers across batch sizes
         n = x.shape[0]
         raw, seed = n * raw, n * seed
-    net.jvp(seed, upto=top)
+    net.jvp(seed)
     net.aux_from_cot(cfg.beta)
     return StepResult(loss, raw, GradientSet.capture(net))
 
 
-def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> float:
+def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig) -> float:
     """Shared pred-ibp / tbp machinery: per tangent, a linearized push through
-    layers[:top] (the logits under nll), an lp penalty there, and a pull of
+    net.seeded (to the logits under nll), an lp penalty there, and a pull of
     beta times its gradient over the same layers, recorded for the one
     contraction per weight layer that then forms dw; no pull at beta 0 or
     for a zero seed. Returns the summed penalty."""
     total = 0.0
     for t in tangents:
         n = t.shape[0]
-        out = net.jvp(t, upto=top)
+        out = net.jvp(t)
         raw, seed = aux_loss_direction(out, cfg.r)
         total += raw / n
         if cfg.beta != 0.0 and seed.any():
-            net.lin_vjp(cfg.beta * seed / n, upto=top)
+            net.lin_vjp(cfg.beta * seed / n)
     net.aux_from_cot(0.0)  # the pulls carry beta
     return total
 
@@ -207,16 +198,16 @@ def _tangent_lp_passes(net: Network, tangents, cfg: TrainConfig, top: int) -> fl
 def step_pred_ibp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Prediction IBP: tbp with the input cotangent as the single tangent."""
     x, labels = batch
-    loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
-    aux = _tangent_lp_passes(net, [dy0], cfg, top)
+    loss, dy0 = _main_passes(net, x, labels, cfg, fold=True)
+    aux = _tangent_lp_passes(net, [dy0], cfg)
     return StepResult(loss, aux, GradientSet.capture(net))
 
 
 def step_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Tangent propagation, original four-pass form, one push+pull per tangent."""
     x, labels = batch
-    loss, _, top = _main_passes(net, x, labels, cfg, pull=False, fold=True)
-    aux = _tangent_lp_passes(net, tangents, cfg, top)
+    loss, _ = _main_passes(net, x, labels, cfg, pull=False, fold=True)
+    aux = _tangent_lp_passes(net, tangents, cfg)
     return StepResult(loss, aux, GradientSet.capture(net))
 
 
@@ -238,9 +229,9 @@ def step_fast_tbp(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepR
     pass of the original form, and are folded into dw as in loss-ibp.
     """
     x, labels = batch
-    loss, dy0, top = _main_passes(net, x, labels, cfg, fold=True)
+    loss, dy0 = _main_passes(net, x, labels, cfg, fold=True)
     aux, seed = aux_loss_dot(dy0, _sum_tangents(tangents))
-    net.jvp(seed, upto=top)
+    net.jvp(seed)
     net.aux_from_cot(cfg.beta)
     return StepResult(loss, aux, GradientSet.capture(net))
 
@@ -249,17 +240,17 @@ def adversarial_shift(x: np.ndarray, dy0: np.ndarray, epsilon: float) -> np.ndar
     """x + epsilon * sign(dy0)."""
     if epsilon == 0.0:
         return x
-    return x + epsilon * sign(dy0)
+    return x + epsilon * np.sign(dy0)
 
 
 def step_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepResult:
     """Adversarial training: average the gradient sets at x and at the
     adversarially shifted x*."""
     x, labels = batch
-    loss1, dy0, _ = _main_passes(net, x, labels, cfg)
+    loss1, dy0 = _main_passes(net, x, labels, cfg)
     first = GradientSet.capture(net)
     xs = adversarial_shift(x, dy0, cfg.epsilon)
-    loss2, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
+    loss2, _ = _main_passes(net, xs, labels, cfg, pull=False)
     return StepResult((loss1 + loss2) / 2.0, 0.0, first.average(GradientSet.capture(net)))
 
 
@@ -268,10 +259,9 @@ def step_fast_at(net: Network, batch, cfg: TrainConfig, tangents=None) -> StepRe
     pulls through the frozen Jacobians without paying for weight-gradient
     contractions; weights are updated from the gradients at x* alone."""
     x, labels = batch
-    _, seed, top = _forward_loss(net, x, labels, cfg)
-    dy0 = net.vjp_linear(seed, upto=top)
-    xs = adversarial_shift(x, dy0, cfg.epsilon)
-    loss, _, _ = _main_passes(net, xs, labels, cfg, pull=False)
+    _, seed = _forward_loss(net, x, labels, cfg)
+    xs = adversarial_shift(x, net.vjp_linear(seed), cfg.epsilon)
+    loss, _ = _main_passes(net, xs, labels, cfg, pull=False)
     return StepResult(loss, 0.0, GradientSet.capture(net))
 
 
@@ -352,8 +342,8 @@ def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
     for lo in range(0, x.shape[0], batch_size):
         sl = slice(lo, lo + batch_size)
         outs.append(net.forward(x[sl], train=False))
-        _, seed, top = _loss_seed(net, outs[-1], labels[sl], "input_gradient")
-        dy0 = net.vjp_linear(seed, upto=top)
+        _, seed = _loss_seed(net, outs[-1], labels[sl], "input_gradient")
+        dy0 = net.vjp_linear(seed)
         if grad is None:
             grad = np.empty(x.shape[:1] + dy0.shape[1:], dtype=dy0.dtype)
         # undo the batch-mean factor so each row is that sample's own gradient

@@ -58,7 +58,7 @@ def test_criterion_01_every_algorithm_matches_finite_differences():
     weights. Budget: two minutes."""
     t0 = time.perf_counter()
     net = acceptance_net(0)
-    assert net.n_params() <= 600
+    assert sum(w.size + b.size for w, b in net.params()) <= 600
     batch = synth_batch(0, 4, (1, 7, 7), 16)
     tangents = probe_tangents(0, batch[0].shape)
 

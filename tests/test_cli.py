@@ -153,6 +153,26 @@ class TestTrain:
         assert "label byte 12 out of range" in err
         assert str(data / "train-labels-idx1-ubyte") in err
 
+    def test_empty_idx_split_exit_2(self, tmp_path, capsys):
+        # a 0-image training split would otherwise train on nothing
+        data = tmp_path / "data"
+        data.mkdir()
+        for split, count in (("train", 0), ("t10k", 4)):
+            (data / f"{split}-images-idx3-ubyte").write_bytes(
+                struct.pack(">iiii", 2051, count, 28, 28) + bytes(count * 28 * 28))
+            (data / f"{split}-labels-idx1-ubyte").write_bytes(
+                struct.pack(">ii", 2049, count) + bytes(count))
+        runs = tmp_path / "runs"
+        args = ["train", "--dataset", "mnist", "--data-dir", str(data), "--out", str(runs)]
+        assert main(args) == 2
+        assert f"{data / 'train-images-idx3-ubyte'}: holds no images" in capsys.readouterr().err
+        assert not list(runs.glob("*.ibpnet")) and not list(runs.glob("*.csv"))
+
+    def test_negative_subset_size_exit_2(self, glyphs_dir, tmp_path, capsys):
+        args = train_args(glyphs_dir, tmp_path) + ["--subset-size", "-5"]
+        assert main(args) == 2
+        assert "subset size must be at least 1, got -5" in capsys.readouterr().err
+
     def test_bad_cifar_label_byte_names_its_batch_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -196,8 +196,9 @@ class TestSubset:
         assert not np.array_equal(a.images, c.images)
 
     def test_size_errors(self):
-        with pytest.raises(ConfigError, match="subset size"):
-            subset(toy_dataset(), 21, seed=0)
+        for n in (21, 0, -5):
+            with pytest.raises(ConfigError, match="subset size"):
+                subset(toy_dataset(), n, seed=0)
         with pytest.raises(ConfigError, match="class 1 has 6 samples"):
             subset(toy_dataset(), 20, seed=0)
 

@@ -163,6 +163,23 @@ class TestOracleOps:
 
 
 class TestFrozenChain:
+    def test_spans_the_seeded_layers(self):
+        # the oracle's push and pull equal the layers' own over net.seeded:
+        # both end at the logits, below the final softmax
+        rng = np.random.default_rng(4)
+        net = acceptance_net(1)
+        x, _ = make_batch(rng, 3, (1, 7, 7), 16)
+        chain = FrozenChain(net, x)
+        assert len(chain.frozen) == len(net.seeded) == len(net.layers) - 1
+        t, s = rng.normal(size=x.shape), rng.normal(size=(3, 16))
+        pushed, pulled = t, s
+        for layer in net.seeded:
+            pushed = layer.jvp(pushed)
+        for layer in reversed(net.seeded):
+            pulled = layer.vjp_linear(pulled)
+        np.testing.assert_allclose(chain.push(t), pushed, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(chain.pull(s), pulled, rtol=1e-12, atol=1e-14)
+
     def test_push_pull_adjoint(self):
         rng = np.random.default_rng(5)
         net = acceptance_net(1)
@@ -244,8 +261,8 @@ class TestCheckVerdicts:
     @pytest.mark.parametrize("scale", [0.999, 1.001])
     def test_fast_at_firstorder_fails_a_scaled_gradient(self, monkeypatch, scale):
         def scaled_passes(*args, **kw):
-            loss, dy0, top = _main_passes(*args, **kw)
-            return loss, scale * dy0, top
+            loss, dy0 = _main_passes(*args, **kw)
+            return loss, scale * dy0
 
         monkeypatch.setattr(gradcheck, "_main_passes", scaled_passes)
         for seed in range(5):
@@ -277,8 +294,8 @@ class TestCheckVerdicts:
         cfg = TrainConfig(algo=algo, beta=0.1, r=r)
         assert check_aux_grad_fd(net, batch, cfg, tangents).passed
         pull = Network.lin_vjp
-        monkeypatch.setattr(Network, "lin_vjp", lambda self, delta, upto=None:
-                            pull(self, (1.0 + 1e-5) * delta, upto))
+        monkeypatch.setattr(Network, "lin_vjp", lambda self, delta:
+                            pull(self, (1.0 + 1e-5) * delta))
         rep = check_aux_grad_fd(net, batch, cfg, tangents)
         assert not rep.passed, rep.line()
 
@@ -288,7 +305,12 @@ class TestCheckVerdicts:
         batch = _synthetic_batch(net, (1, 7, 7), 16, 0)
         cfg = TrainConfig(algo="loss-ibp", beta=0.1, r=1)
         assert check_aux_grad_fd(net, batch, cfg).passed
-        monkeypatch.setattr(losses, "sign", lambda t: (1.0 + 1e-5) * np.sign(t))
+
+        def scaled_seed(dy0, r):
+            raw, seed = losses.aux_loss_lp(dy0, r)
+            return raw, (1.0 + 1e-5) * seed
+
+        monkeypatch.setattr(training, "aux_loss_lp", scaled_seed)
         rep = check_aux_grad_fd(net, batch, cfg)
         assert not rep.passed, rep.line()
 
@@ -344,6 +366,19 @@ class TestCheckVerdicts:
         reports = {r.name: r for r in check_layer_identities(net, x)}
         assert not reports[name].passed, reports[name].line()
         assert "ReLU" in reports[name].worst
+        assert reports["adjoint-identity"].passed
+
+    def test_frozen_oracle_fails_a_softmax_jacobian_without_its_rank_one_term(self, monkeypatch):
+        # no pass spans the final softmax, so its Jacobian is judged here
+        # alone; diag(y) is symmetric too, so only the oracle tells it apart
+        net = zoo_net(0)
+        x, _ = _synthetic_batch(net, (1, 9, 9), 5, 0)
+        assert net.layers[-1] not in net.seeded
+        monkeypatch.setattr(Softmax, "vjp_linear", lambda self, dy: self.y * dy)
+        reports = {r.name: r for r in check_layer_identities(net, x)}
+        name = "frozen-oracle/push-and-pull"
+        assert not reports[name].passed, reports[name].line()
+        assert "Softmax" in reports[name].worst
         assert reports["adjoint-identity"].passed
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ibpnet.errors import FormatError, StateError
-from ibpnet.layers import Dropout, FullyConnected, MaxPool2D, ReLU, Softmax
+from ibpnet.layers import Dropout, FullyConnected, Layer, MaxPool2D, ReLU, Softmax
 from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec
 from ibpnet.presets import acceptance_net, build_net, mnist_paper_net, zoo_net
 from ibpnet.tensor import rng_stream
@@ -29,6 +29,46 @@ def start_records(net):
         layer.pulls = []
 
 
+class TestSeeded:
+    """Every pass spans Network.seeded: all layers but a final softmax, whose
+    Jacobian the nll seed already holds."""
+
+    def test_drops_only_a_final_softmax(self):
+        rng = np.random.default_rng(0)
+        final = small_net()
+        assert final.seeded == final.layers[:3]
+        inner = Network([FullyConnected(6, 8, rng), Softmax(), FullyConnected(8, 3, rng)])
+        assert inner.seeded == inner.layers
+        assert Network([]).seeded == []
+
+    def test_passes_equal_a_manual_loop_over_seeded(self):
+        rng = np.random.default_rng(1)
+        net, ref = small_net(), small_net()
+        x = rng.normal(size=(4, 6))
+        v, seed, delta = rng.normal(size=x.shape), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        for n in (net, ref):
+            n.forward(x)
+        pulled = seed
+        for layer in reversed(ref.seeded):
+            pulled = layer.vjp(pulled)
+        np.testing.assert_array_equal(net.vjp(seed), pulled)
+        for got, want in zip(net.param_layers, ref.param_layers):
+            np.testing.assert_array_equal(got.dw, want.dw)
+        np.testing.assert_array_equal(net.vjp_linear(seed), pulled)
+        pushed = v
+        for layer in ref.seeded:
+            pushed = layer.jvp(pushed)
+        assert pushed.shape == (4, 3)  # the logits
+        np.testing.assert_array_equal(net.jvp(v), pushed)
+        net.lin_vjp(delta)
+        d = delta
+        for layer in reversed(ref.seeded):
+            d = layer.lin_vjp(d)
+        for got, want in zip(net.param_layers, ref.param_layers):  # FC rows
+            for a, b in zip(got.pulls[0], want.pulls[0]):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestPasses:
     def test_forward_composes_layers(self):
         rng = np.random.default_rng(0)
@@ -39,33 +79,22 @@ class TestPasses:
             y = layer.forward(y)
         np.testing.assert_array_equal(net.forward(x), y)
 
-    def test_vjp_upto_stops_below_top(self):
-        # seeding below the softmax must equal a manual pull that omits it
-        rng = np.random.default_rng(1)
+    def test_aux_from_cot_calls_layer_aux_from_cot_once_per_weight_layer(self, monkeypatch):
+        rng = np.random.default_rng(4)
         net = small_net()
-        x = rng.normal(size=(4, 6))
-        net.forward(x)
-        seed = rng.normal(size=(4, 3))
-        got = net.vjp(seed, upto=-1)
-        manual = seed
-        for layer in reversed(net.layers[:-1]):
-            manual = layer.vjp(manual)
-        np.testing.assert_array_equal(got, manual)
+        net.forward(rng.normal(size=(4, 6)))
+        net.vjp(rng.normal(size=(4, 3)), _dw=False)
+        net.jvp(rng.normal(size=(4, 6)))
+        calls, inner = [], Layer.aux_from_cot
 
-    def test_jvp_upto_stops_below_top(self):
-        rng = np.random.default_rng(2)
-        net = small_net()
-        x = rng.normal(size=(4, 6))
-        net.forward(x)
-        v = rng.normal(size=x.shape)
-        below = net.jvp(v, upto=-1)
-        manual = v
-        for layer in net.layers[:-1]:
-            manual = layer.jvp(manual)
-        np.testing.assert_array_equal(below, manual)
-        # over the full stack the softmax Jacobian is applied on top
-        full = net.jvp(v)
-        np.testing.assert_array_equal(full, net.layers[-1].jvp(manual))
+        def recorded(layer, beta):
+            calls.append((layer, beta))
+            inner(layer, beta)
+
+        monkeypatch.setattr(Layer, "aux_from_cot", recorded)
+        net.aux_from_cot(0.25)
+        assert calls == [(layer, 0.25) for layer in net.param_layers]
+        assert all(l.dw is not None and l.db is not None for l in net.param_layers)
 
     def test_lin_vjp_records_until_aux_from_cot_and_each_step_allocates(self):
         # the pull records its pairs until aux_from_cot contracts them into a
@@ -79,11 +108,11 @@ class TestPasses:
 
         def step():
             net.forward(x)
-            net.vjp(dy, upto=-1)
+            net.vjp(dy)
             bp = [dw.copy() for dw in dws(net)]
-            net.vjp(dy, upto=-1, _dw=False)
-            net.jvp(v, upto=-1)
-            net.lin_vjp(delta, upto=-1)
+            net.vjp(dy, _dw=False)
+            net.jvp(v)
+            net.lin_vjp(delta)
             assert [len(l.pulls) for l in net.param_layers] == [1, 1]
             net.aux_from_cot(0.0)
             assert [l.pulls for l in net.param_layers] == [[], []]
@@ -99,8 +128,8 @@ class TestPasses:
             np.testing.assert_array_equal(old, snap)
             np.testing.assert_array_equal(b2, b)
             np.testing.assert_array_equal(new, snap)
-        net.lin_vjp(delta, upto=-1)
-        net.vjp(dy, upto=-1)
+        net.lin_vjp(delta)
+        net.vjp(dy)
         assert [l.pulls for l in net.param_layers] == [[], []]
 
     def test_aux_from_cot_folds_the_aux_gradient_into_dw(self):
@@ -114,16 +143,16 @@ class TestPasses:
         x = rng.normal(size=(4, 6))
         seed = rng.normal(size=(4, 3))
         net.forward(x)
-        net.vjp(seed, upto=-1)
+        net.vjp(seed)
         bp = [(l.dw, l.db) for l in net.param_layers]
         for beta, v in ((0.0, rng.normal(size=x.shape)), (0.3, np.zeros_like(x))):
-            net.jvp(v, upto=-1)
+            net.jvp(v)
             net.aux_from_cot(beta)
             for layer, (dw, db) in zip(net.param_layers, bp):
                 np.testing.assert_array_equal(layer.dw, dw)
                 np.testing.assert_array_equal(layer.db, db)
-        net.jvp(rng.normal(size=x.shape), upto=-1)
-        net.lin_vjp(seed, upto=-1)
+        net.jvp(rng.normal(size=x.shape))
+        net.lin_vjp(seed)
         aux = [l.weight_grad(*l.pulls[0])[0] for l in net.param_layers]  # FC rows
         for beta, scale in ((0.0, 1.0), (0.3, 0.3)):
             net.aux_from_cot(beta)  # the first call drops the record
@@ -137,9 +166,9 @@ class TestPasses:
         net = small_net()
         net.forward(rng.normal(size=(4, 6)))
         seed = rng.normal(size=(4, 3))
-        full = net.vjp(seed, upto=-1)
+        full = net.vjp(seed)
         cots = [l.cot_out for l in net.param_layers]
-        np.testing.assert_array_equal(net.vjp(seed, upto=-1, _dw=False), full)
+        np.testing.assert_array_equal(net.vjp(seed, _dw=False), full)
         for layer, cot in zip(net.param_layers, cots):
             assert layer.dw is None and layer.db is None
             np.testing.assert_array_equal(layer.cot_out, cot)
@@ -147,7 +176,7 @@ class TestPasses:
     def test_param_accessors(self):
         net = small_net()
         assert len(net.param_layers) == 2
-        assert net.n_params() == 6 * 8 + 8 + 8 * 3 + 3
+        assert sum(w.size + b.size for w, b in net.params()) == 6 * 8 + 8 + 8 * 3 + 3
         assert [w.shape for w, _ in net.params()] == [(6, 8), (8, 3)]
 
     def test_batched_forward_matches_whole_batch(self):
@@ -218,10 +247,10 @@ class TestLinVjpStopsAtLowestWeightLayer:
         delta = rng.normal(size=(4, 3))
         for n in (net, ref):
             n.forward(x, train=True)
-            n.jvp(v, upto=-1)
+            n.jvp(v)
             start_records(n)
         pulled = record_calls(net)
-        assert net.lin_vjp(delta, upto=-1) is None
+        assert net.lin_vjp(delta) is None
         assert pulled == [4, 3]  # fc2 and relu; fc1 only records
         d = delta
         for layer in reversed(ref.layers[:-1]):  # a full pull to the input
@@ -239,9 +268,9 @@ class TestLinVjpStopsAtLowestWeightLayer:
         seed = rng.normal(size=(4, 3))
         for n in (net, ref):
             n.forward(x, train=True)
-        ref.vjp(seed, upto=-1)
+        ref.vjp(seed)
         ran, pulled = record_calls(net, "vjp"), record_calls(net)
-        assert net.vjp(seed, upto=-1, pull=False) is None
+        assert net.vjp(seed, pull=False) is None
         assert ran == [4, 3, 2]  # nothing below fc1 runs
         assert pulled == [4, 3]  # fc1 fills its gradients without pulling
         for got, want in zip(net.param_layers, ref.param_layers):
@@ -250,27 +279,16 @@ class TestLinVjpStopsAtLowestWeightLayer:
 
     def test_range_without_weight_layers_does_nothing(self):
         rng = np.random.default_rng(7)
-        net = self.pool_dropout_net()
-        x = rng.normal(size=(4, 1, 6, 6))
-        net.forward(x, train=True)
-        net.jvp(rng.normal(size=x.shape), upto=2)
-        start_records(net)
-        pulled = record_calls(net)
-        assert net.lin_vjp(rng.normal(size=(4, 1, 3, 3)), upto=2) is None
-        assert pulled == []
-        assert not any(l.pulls for l in net.param_layers)
-        ran = record_calls(net, "vjp")
-        assert net.vjp(rng.normal(size=(4, 1, 3, 3)), upto=2, pull=False) is None
-        assert ran == pulled == []
-
-        bare = Network([ReLU(), Softmax()])
-        bare.forward(rng.normal(size=(4, 3)))
-        pulled = record_calls(bare)
-        assert bare.lin_vjp(rng.normal(size=(4, 3))) is None
-        assert bare.lin_vjp(rng.normal(size=(4, 3)), upto=-1) is None
-        ran = record_calls(bare, "vjp")
-        assert bare.vjp(rng.normal(size=(4, 3)), pull=False) is None
-        assert ran == pulled == []
+        for net, x in ((Network([MaxPool2D((2, 2), (2, 2)), Dropout(0.3, rng_stream(5, "d")),
+                                 ReLU()]), rng.normal(size=(4, 1, 6, 6))),
+                       (Network([ReLU(), Softmax()]), rng.normal(size=(4, 3)))):
+            out = net.forward(x, train=True)
+            net.jvp(rng.normal(size=x.shape))
+            pulled = record_calls(net)
+            assert net.lin_vjp(rng.normal(size=out.shape)) is None
+            ran = record_calls(net, "vjp")
+            assert net.vjp(rng.normal(size=out.shape), pull=False) is None
+            assert ran == pulled == []
 
 
 class TestModelFile:
@@ -326,7 +344,7 @@ class TestModelFile:
             np.testing.assert_array_equal(w, lw)
             np.testing.assert_array_equal(bias, lb)
         # 4 bytes a parameter: half the float64 file's blob
-        assert a.stat().st_size - 4 * net.n_params() < 1024
+        assert a.stat().st_size - 4 * sum(w.size + b.size for w, b in net.params()) < 1024
 
     def test_truncated_float32_weights(self, tmp_path):
         path = tmp_path / "model.ibpnet"

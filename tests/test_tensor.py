@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ibpnet import tensor
-from ibpnet.errors import ConfigError
+from ibpnet.errors import ConfigError, ShapeError
 from ibpnet.tensor import (
     conv2d,
     conv2d_input_grad,
@@ -20,7 +20,6 @@ from ibpnet.tensor import (
     meanpool_forward,
     pool_output_extent,
     rng_stream,
-    sign,
 )
 
 
@@ -158,11 +157,6 @@ def ref_maxpool_gather(v, argmax, in_hw):
 
 
 class TestScalars:
-    def test_sign_values(self):
-        np.testing.assert_array_equal(
-            sign(np.array([-2.0, 0.0, 0.5])), [-1.0, 0.0, 1.0]
-        )
-
     def test_lp_norms(self):
         t = np.array([3.0, -4.0])
         assert lp_norm(t, 1) == 7.0
@@ -194,15 +188,17 @@ class TestConv2D:
         got = conv2d(x, w, pad=pad, stride=stride)
         np.testing.assert_allclose(got, conv_loops(x, w, pad, stride), rtol=1e-12)
 
-    def test_bias_and_3d_input(self):
+    def test_bias_and_3d_input_rejected(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 6, 6))
+        x = rng.normal(size=(1, 3, 6, 6))
         w = rng.normal(size=(2, 3, 3, 3))
         b = rng.normal(size=2)
         got = conv2d(x, w, bias=b)
-        ref = conv_loops(x[None], w, (0, 0), (1, 1))[0] + b[:, None, None]
-        assert got.shape == (2, 4, 4)
+        ref = conv_loops(x, w, (0, 0), (1, 1)) + b[:, None, None]
+        assert got.shape == (1, 2, 4, 4)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
+        with pytest.raises(ShapeError):  # no unbatched (C,H,W) input
+            conv2d(x[0], w, bias=b)
 
     def test_output_size_errors(self):
         assert conv_output_hw(8, 10, (3, 2), (2, 1), (1, 2)) == (10, 6)
@@ -565,7 +561,7 @@ class TestDtypes:
         dy = rng.normal(size=y.shape).astype(dtype)
         dw, db = conv2d_weight_grad(x, dy, ws[2:], pad, (1, 1))
         dx = conv2d_input_grad(dy, w, pad, (1, 1), xs[2:])
-        for out in (y, conv2d(x[0], w, pad, (1, 1)), dw, db, dx):
+        for out in (y, dw, db, dx):
             assert out.dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -577,7 +573,7 @@ class TestDtypes:
         assert tensor._patch_stack(x, (3, 3), (1, 1), (1, 1), (4, 4)).dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_pool_kernels_and_sign(self, dtype):
+    def test_pool_kernels(self, dtype):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 7, 5)).astype(dtype)
         out, arg = maxpool_forward(x, *POOL)
@@ -585,6 +581,6 @@ class TestDtypes:
         mean = meanpool_forward(x, *POOL)
         outs = [out, maxpool_forward(x, *POOL, positions=False)[0],
                 maxpool_scatter(dy, arg, x.shape[2:]), maxpool_gather(x, arg, x.shape[2:]),
-                mean, meanpool_backward(dy, *POOL, x.shape[2:]), sign(x)]
+                mean, meanpool_backward(dy, *POOL, x.shape[2:])]
         for got in outs:
             assert got.dtype == dtype

@@ -169,7 +169,7 @@ class TestStepClosedForms:
         x, labels = make_batch(rng, 8, (1, 7, 7), 16)
         cfg = TrainConfig(algo="at", epsilon=epsilon)
         ref = acceptance_net(7)
-        _, dy0, _ = _main_passes(ref, x, labels, cfg)
+        _, dy0 = _main_passes(ref, x, labels, cfg)
         first = [a.copy() for l in ref.param_layers for a in (l.dw, l.db)]
         _main_passes(ref, adversarial_shift(x, dy0, epsilon), labels, cfg)
         second = [a for l in ref.param_layers for a in (l.dw, l.db)]
@@ -230,12 +230,11 @@ class TestFastTbpFiveTangents:
     def per_tangent_reference(net, batch, tangents):
         x, labels = batch
         probs = net.forward(x, train=True)
-        top = len(net.layers) - 1  # seed below the final softmax
-        dy0 = net.vjp((probs - labels) / x.shape[0], upto=top)
+        dy0 = net.vjp((probs - labels) / x.shape[0])  # seeded below the final softmax
         aux, aux_dw = 0.0, [0.0] * len(net.param_layers)
         for t in tangents:
             aux += float((dy0 * t).sum())
-            net.jvp(t, upto=top)
+            net.jvp(t)
             for k, l in enumerate(net.param_layers):
                 aux_dw[k] = aux_dw[k] + l.weight_grad(l.tan_in, l.cot_out)[0]
         return aux, aux_dw
@@ -294,10 +293,10 @@ class TestAuxPullStopsAtLowestWeightLayer:
         x, labels = batch
         n = x.shape[0]
         probs = net.forward(x, train=True)
-        dy0 = net.vjp((probs - labels) / n, upto=len(net.layers) - 1, _dw=False)
+        dy0 = net.vjp((probs - labels) / n, _dw=False)  # seeded below the final softmax
         total = 0.0
         for t in (tangents if tangents is not None else [dy0]):
-            raw, seed = aux_loss_lp(net.jvp(t, upto=-1), cfg.r)
+            raw, seed = aux_loss_lp(net.jvp(t), cfg.r)
             total += raw / n
             delta = cfg.beta * seed / n
             for layer in reversed(net.layers[:-1]):  # below the final softmax
@@ -347,8 +346,8 @@ class TestAuxPullStopsAtLowestWeightLayer:
     def main_full_pull(net):
         """net with a main backward that always pulls down to the input, as a
         layer-by-layer loop over the default Layer.vjp."""
-        def vjp(dy, upto=None, pull=True, _dw=True):
-            for layer in reversed(net.layers[:upto]):
+        def vjp(dy, pull=True, _dw=True):
+            for layer in reversed(net.seeded):
                 dy = layer.vjp(dy, _dw=_dw)
             return dy
         net.vjp = vjp
