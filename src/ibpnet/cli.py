@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval_noise(args) -> int:
-    if not os.path.exists(args.model):
+    if not os.path.isfile(args.model):
         raise ConfigError(f"model file not found: {args.model}")
     net = Network.load(args.model)
     _, test_ds = load_split_pair(_data_dir(args), args.dataset)
@@ -220,8 +220,14 @@ def cmd_report(args) -> int:
     path = os.path.join(args.runs, "runs.jsonl")
     if not os.path.exists(path):
         raise ConfigError(f"no run records at {path}")
+    records = []
     with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    raise FormatError(f"{path} line {lineno}: not a JSON record") from None
     if not records:
         raise ConfigError(f"{path} holds no runs")
     groups = {}
@@ -231,17 +237,21 @@ def cmd_report(args) -> int:
     for key in sorted(groups, key=str):
         dataset, algo, beta, epsilon, r = key
         recs = groups[key]
-        errs = np.array([rec["final_test_error"] for rec in recs]) * 100.0
+        # a 0-epoch run records no test error (null): its group reads nan
+        errs = np.array([rec["final_test_error"] for rec in recs], dtype=float) * 100.0
         secs = np.mean([rec["seconds_per_epoch"] for rec in recs])
         rows.append(dict(
             dataset=dataset, algo=algo, beta=beta, epsilon=epsilon, r=r,
             runs=len(recs), err_mean=float(errs.mean()),
             err_std=float(errs.std()), sec_per_epoch=float(secs),
         ))
-    # flag the best hyperparameters per dataset/algorithm pair
+    # flag the best hyperparameters per dataset/algorithm pair; a nan group
+    # is never best
     best = {}
     for i, row in enumerate(rows):
         key = (row["dataset"], row["algo"])
+        if np.isnan(row["err_mean"]):
+            continue
         if key not in best or row["err_mean"] < rows[best[key]]["err_mean"]:
             best[key] = i
     header = (f"{'dataset':<9} {'algo':<9} {'beta':>6} {'eps':>5} {'r':>2} "
@@ -249,7 +259,7 @@ def cmd_report(args) -> int:
     print(header)
     print("-" * len(header))
     for i, row in enumerate(rows):
-        mark = " *" if best[(row["dataset"], row["algo"])] == i else ""
+        mark = " *" if best.get((row["dataset"], row["algo"])) == i else ""
         print(f"{row['dataset']:<9} {row['algo']:<9} {row['beta']:>6g} "
               f"{row['epsilon']:>5g} {row['r']:>2d} {row['runs']:>4d} "
               f"{row['err_mean']:>8.2f} +/- {row['err_std']:<5.2f} "

@@ -268,14 +268,6 @@ def _affine_batch(x: np.ndarray, matrices: np.ndarray, offsets: np.ndarray) -> n
     return out
 
 
-def affine_sample(img: np.ndarray, matrix: np.ndarray, offset) -> np.ndarray:
-    """Resample img (C, H, W) under the forward map p' = matrix @ p + offset
-    about the image center, where p = (x, y) in centered pixel coordinates."""
-    img = np.asarray(img, dtype=np.float64)
-    return _affine_batch(img[None], np.asarray(matrix, dtype=np.float64)[None],
-                         np.asarray(offset, dtype=np.float64)[None])[0]
-
-
 def _scale_rotate_matrices(sx, sy, degrees) -> np.ndarray:
     """(N, 2, 2) maps that scale x by sx and y by sy, then rotate by degrees.
 

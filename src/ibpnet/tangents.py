@@ -61,12 +61,6 @@ def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return a[..., r:r + h, r:r + w]
 
 
-def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur over the trailing two axes, zero-padded borders;
-    float32 for float32 input, else float64."""
-    return _blur(_float(img), sigma).copy()
-
-
 def _fill_tangents(img: np.ndarray, sigma: float, normalize: bool, out: np.ndarray) -> np.ndarray:
     """Write the tangents of img (..., H, W) into out (..., 5, H, W), both of
     one dtype that the arithmetic keeps, and return out."""

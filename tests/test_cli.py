@@ -241,6 +241,12 @@ class TestEvalNoise:
         assert main(args) == 2
         assert "model file not found" in capsys.readouterr().err
 
+    def test_directory_as_model_exit_2(self, tmp_path, capsys):
+        args = ["eval-noise", "--model", str(tmp_path), "--noise", "gaussian",
+                "--levels", "0,0.1", "--data-dir", str(tmp_path / "no-data")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: model file not found: {tmp_path}\n"
+
     def test_malformed_layer_record_exit_2(self, tmp_path, capsys):
         # the model loads before any data, so no dataset is needed
         rec = json.dumps({"kind": "fc", "in_features": 4}).encode()
@@ -295,3 +301,29 @@ class TestReport:
         assert "no run records" in capsys.readouterr().err
         (tmp_path / "runs.jsonl").write_text("\n")
         assert main(["report", "--runs", str(tmp_path)]) == 2
+
+    def test_zero_epoch_run_reads_nan_and_is_never_best(self, glyphs_dir, tmp_path,
+                                                       capsys):
+        assert main(train_args(glyphs_dir, tmp_path, "--algo", "bp",
+                               "--epochs", "0")) == 0
+        assert main(train_args(glyphs_dir, tmp_path, "--algo", "loss-ibp",
+                               "--beta", "0.3")) == 0
+        assert main(train_args(glyphs_dir, tmp_path, "--algo", "loss-ibp",
+                               "--beta", "0.5", "--epochs", "0")) == 0
+        capsys.readouterr()
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        body = capsys.readouterr().out.splitlines()[2:]
+        assert len(body) == 3
+        nan_rows = [l for l in body if "nan +/- nan" in l]
+        assert len(nan_rows) == 2
+        assert not any(l.endswith("*") for l in nan_rows)
+        assert sum(l.endswith("*") for l in body) == 1  # the trained loss-ibp run
+
+    def test_line_that_is_not_json_exit_2(self, glyphs_dir, tmp_path, capsys):
+        assert main(train_args(glyphs_dir, tmp_path, "--algo", "bp")) == 0
+        with open(tmp_path / "runs.jsonl", "a") as fh:
+            fh.write('{"name": "cut-off mid-wri\n')
+        capsys.readouterr()
+        assert main(["report", "--runs", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'runs.jsonl'} line 2: not a JSON record\n"

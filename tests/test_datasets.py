@@ -17,8 +17,8 @@ from ibpnet.datasets import (
     GLYPHS_SUBDIR,
     MNIST_FILES,
     Dataset,
+    _affine_batch,
     _upsample,
-    affine_sample,
     augment_batch,
     denormalize,
     ensure_builtin_digits,
@@ -203,17 +203,20 @@ class TestSubset:
             subset(toy_dataset(), 20, seed=0)
 
 
+EYE = np.eye(2)[None]  # one identity map, as _affine_batch's (N, 2, 2)
+
+
 class TestAugment:
     def test_identity_transform_is_bitwise(self):
         rng = np.random.default_rng(3)
         img = rng.random((2, 9, 9))
-        out = affine_sample(img, np.eye(2), (0.0, 0.0))
+        out = _affine_batch(img[None], EYE, np.array([[0.0, 0.0]]))[0]
         np.testing.assert_array_equal(out, img)
 
     def test_integer_shift_moves_impulse(self):
         img = np.zeros((1, 9, 9))
         img[0, 4, 3] = 1.0
-        out = affine_sample(img, np.eye(2), (2.0, 0.0))  # content +2 in x
+        out = _affine_batch(img[None], EYE, np.array([[2.0, 0.0]]))[0]  # content +2 in x
         assert out[0, 4, 5] == 1.0
         assert out.sum() == 1.0
 
@@ -225,8 +228,8 @@ class TestAugment:
         got = augment_batch(img[None], spec, rng_a)[0]
         also = augment_batch(img[None], spec, rng_b)[0]  # no randomness left
         np.testing.assert_array_equal(got, also)
-        np.testing.assert_allclose(got, affine_sample(img, np.eye(2), (2.0, 2.0)),
-                                   rtol=0, atol=1e-12)
+        shifted = _affine_batch(img[None], EYE, np.array([[2.0, 2.0]]))[0]
+        np.testing.assert_allclose(got, shifted, rtol=0, atol=1e-12)
 
     def test_rotation_keeps_centered_mass(self):
         ys, xs = np.indices((15, 15), dtype=np.float64)

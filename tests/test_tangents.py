@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from ibpnet import tangents
-from ibpnet.datasets import affine_sample
+from ibpnet.datasets import _affine_batch
 from ibpnet.errors import ConfigError
 from ibpnet.tangents import (
     TANGENT_NAMES,
+    _blur,
     dataset_tangents,
     gaussian_kernel1d,
-    gaussian_smooth,
     load_or_build_tangents,
     tangent_vectors,
 )
@@ -38,7 +38,9 @@ WARPS = [
 
 def warp_fd(img, k, d):
     mat, off = WARPS[k][1](d), WARPS[k][2](d)
-    return (affine_sample(img[None], np.asarray(mat, float), off)[0] - img) / d
+    warped = _affine_batch(img[None, None], np.asarray(mat, float)[None],
+                           np.array([off], float))[0, 0]
+    return (warped - img) / d
 
 
 def centered_ramp(h, w, a, b, c):
@@ -85,19 +87,19 @@ class TestSmoothing:
         img = np.zeros((11, 11))
         img[5, 5] = 1.0
         k = gaussian_kernel1d(1.0)  # radius 3 fits inside the image
-        out = gaussian_smooth(img, 1.0)
+        out = _blur(img, 1.0)
         np.testing.assert_allclose(out[2:9, 2:9], np.outer(k, k), rtol=1e-12)
         assert out[0, 0] == 0.0
 
     def test_constant_preserved_away_from_borders(self):
-        out = gaussian_smooth(np.full((11, 11), 3.0), 1.0)
+        out = _blur(np.full((11, 11), 3.0), 1.0)
         np.testing.assert_allclose(out[3:8, 3:8], 3.0, rtol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(9, 9)), rng.normal(size=(9, 9))
-        lhs = gaussian_smooth(2.0 * a - 3.0 * b, 0.7)
-        rhs = 2.0 * gaussian_smooth(a, 0.7) - 3.0 * gaussian_smooth(b, 0.7)
+        lhs = _blur(2.0 * a - 3.0 * b, 0.7)
+        rhs = 2.0 * _blur(a, 0.7) - 3.0 * _blur(b, 0.7)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -187,7 +189,7 @@ class TestWarpConsistency:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_direction_on_generic_smooth_image(self, k):
         rng = np.random.default_rng(4)
-        img = gaussian_smooth(rng.normal(size=(21, 21)), 2.0)
+        img = _blur(rng.normal(size=(21, 21)), 2.0)
         t = tangent_vectors(img, 0.9)
         m = 6
         a = warp_fd(img, k, 0.25)[m:-m, m:-m].ravel()
@@ -214,7 +216,7 @@ class TestDatasetTangents:
         assert t.nbytes == 4 * 5 * 3 * 8 * 6 * 4
         # the per-image functions keep float32 and float64 as they are given
         assert tangent_vectors(x[0], 0.9).dtype == dtype
-        assert gaussian_smooth(x[0], 0.9).dtype == dtype
+        assert _blur(x[0], 0.9).dtype == dtype
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("sigma", [0.3, 0.9, 2.5])
