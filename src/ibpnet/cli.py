@@ -30,11 +30,11 @@ from .datasets import (
     normalize,
     subset,
 )
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gradcheck import all_passed, format_reports, run_all_checks
 from .network import Network
 from .perturb import CSV_HEADER, SWEEP_KINDS, sweep
-from .presets import PRESETS, build_net
+from .presets import PRESETS, TANGENT_SIGMA, build_net
 from .tangents import load_or_build_tangents
 from .tensor import rng_stream
 from .training import (
@@ -91,8 +91,8 @@ def _train_settings(args) -> tuple:
                    "glyphs": "mnist-tiny", "cifar10": "cifar-paper"}[dataset]
     betas = [cfg.beta] if args.beta_grid is None else _parse_floats(args.beta_grid)
     subset_size = preset.get("subset", 0) if args.subset_size is None else args.subset_size
-    run = dict(dataset=dataset, net=preset.get("net", default_net), subset=subset_size,
-               sigma=preset.get("sigma", 0.9), augment=args.augment,
+    run = dict(dataset=dataset, net=args.preset or default_net, subset=subset_size,
+               sigma=TANGENT_SIGMA, augment=args.augment,
                normalize_tangents=args.normalize_tangents, preset=args.preset)
     return cfg, betas, run
 
@@ -213,7 +213,7 @@ def cmd_gradcheck(args) -> int:
 
 def _group_key(record: dict) -> tuple:
     c = record["config"]
-    return (c["dataset"], c["algo"], c["beta"], c["epsilon"], c["r"])
+    return (c["dataset"], c["algo"], c["beta"], c["epsilon"], c["r"], c["net"], c["epochs"])
 
 
 def cmd_report(args) -> int:
@@ -235,14 +235,14 @@ def cmd_report(args) -> int:
         groups.setdefault(_group_key(rec), []).append(rec)
     rows = []
     for key in sorted(groups, key=str):
-        dataset, algo, beta, epsilon, r = key
+        dataset, algo, beta, epsilon, r, net, epochs = key
         recs = groups[key]
         # a 0-epoch run records no test error (null): its group reads nan
         errs = np.array([rec["final_test_error"] for rec in recs], dtype=float) * 100.0
         secs = np.mean([rec["seconds_per_epoch"] for rec in recs])
         rows.append(dict(
             dataset=dataset, algo=algo, beta=beta, epsilon=epsilon, r=r,
-            runs=len(recs), err_mean=float(errs.mean()),
+            net=net, epochs=epochs, runs=len(recs), err_mean=float(errs.mean()),
             err_std=float(errs.std()), sec_per_epoch=float(secs),
         ))
     # flag the best hyperparameters per dataset/algorithm pair; a nan group
@@ -255,17 +255,18 @@ def cmd_report(args) -> int:
         if key not in best or row["err_mean"] < rows[best[key]]["err_mean"]:
             best[key] = i
     header = (f"{'dataset':<9} {'algo':<9} {'beta':>6} {'eps':>5} {'r':>2} "
-              f"{'runs':>4} {'err% mean+/-std':>17} {'s/epoch':>8}")
+              f"{'net':<11} {'epochs':>6} {'runs':>4} {'err% mean+/-std':>17} {'s/epoch':>8}")
     print(header)
     print("-" * len(header))
     for i, row in enumerate(rows):
         mark = " *" if best.get((row["dataset"], row["algo"])) == i else ""
         print(f"{row['dataset']:<9} {row['algo']:<9} {row['beta']:>6g} "
-              f"{row['epsilon']:>5g} {row['r']:>2d} {row['runs']:>4d} "
+              f"{row['epsilon']:>5g} {row['r']:>2d} {row['net']:<11} "
+              f"{row['epochs']:>6d} {row['runs']:>4d} "
               f"{row['err_mean']:>8.2f} +/- {row['err_std']:<5.2f} "
               f"{row['sec_per_epoch']:>8.2f}{mark}")
     if args.csv:
-        cols = ("dataset", "algo", "beta", "epsilon", "r", "runs",
+        cols = ("dataset", "algo", "beta", "epsilon", "r", "net", "epochs", "runs",
                 "err_mean", "err_std", "sec_per_epoch")
         with open(args.csv, "w") as fh:
             fh.write(",".join(cols) + "\n")
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, ShapeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

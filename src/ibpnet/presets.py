@@ -1,13 +1,16 @@
 """Named network architectures and run presets for the experiment harness.
 
-Convolutional stacks follow conv -> maxpool(3x3, stride 2) -> relu; relu and
-max pooling commute, so the order only fixes which activations the caches
-hold. All weight layers draw their init from per-position RNG streams of the
-run seed, so architectures are reproducible irrespective of build order.
+``NETS`` holds the paper's nets (``mnist-paper``, ``cifar-paper``,
+``mnist-tiny``) as rows of one table: the input shape and, per conv block,
+the filters, kernel and pad. ``build_net`` makes each block conv ->
+maxpool(3x3, stride 2) -> relu, then adds FC 256 -> relu -> FC 10 -> softmax,
+sizing the first FC layer from the input shape. Relu and max pooling
+commute, so the block order only fixes which activations the caches hold.
+Each weight layer draws its init from the run seed's stream for its
+position, so the nets are reproducible irrespective of build order.
 
-The named nets (``mnist-paper``, ``cifar-paper``, ``mnist-tiny``) train in
-float32; ``acceptance_net`` and ``zoo_net`` stay float64, since the gradient
-checks take finite differences of them.
+The named nets train in float32; ``acceptance_net`` and ``zoo_net`` stay
+float64, since the gradient checks take finite differences of them.
 """
 
 from __future__ import annotations
@@ -26,58 +29,41 @@ from .layers import (
     Softmax,
 )
 from .network import Network
-from .tensor import rng_stream
+from .tensor import conv_output_hw, pool_output_extent, rng_stream
 
 POOL = dict(window=(3, 3), stride=(2, 2))
-F32 = np.float32
+TANGENT_SIGMA = 0.9  # the blur every run builds its tangents with
+
+# name: ((channels, height, width) of the input, ((filters, kernel, pad) per conv block))
+NETS = {
+    "mnist-paper": ((1, 28, 28), ((32, 4, 0), (64, 5, 2))),
+    "cifar-paper": ((3, 32, 32), ((32, 5, 0), (32, 5, 2), (64, 5, 2))),
+    "mnist-tiny": ((1, 28, 28), ()),
+}
 
 
 def _init(seed: int, idx: int):
     return rng_stream(seed, f"init/{idx}")
 
 
-def mnist_paper_net(seed: int) -> Network:
-    """Two conv blocks (32@4x4 pad 0, 64@5x5 pad 2) + FC 256 for 1x28x28."""
-    return Network([
-        Conv2D(1, 32, (4, 4), (0, 0), (1, 1), _init(seed, 0), F32),   # 25x25
-        MaxPool2D(**POOL),                                            # 12x12
+def build_net(name: str, seed: int) -> Network:
+    """The float32 net of NETS[name], its weights drawn from the run seed."""
+    if name not in NETS:
+        raise ConfigError(f"unknown network {name!r}; choose from {sorted(NETS)}")
+    (channels, h, w), blocks = NETS[name]
+    layers = []
+    for idx, (filters, k, p) in enumerate(blocks):
+        conv = Conv2D(channels, filters, (k, k), (p, p), (1, 1), _init(seed, idx), np.float32)
+        layers += [conv, MaxPool2D(**POOL), ReLU()]
+        h, w = conv_output_hw(h, w, (k, k), (p, p), (1, 1))
+        h, w = (pool_output_extent(n, win, s)
+                for n, win, s in zip((h, w), POOL["window"], POOL["stride"]))
+        channels = filters
+    fc = len(blocks)
+    return Network(layers + [
+        FullyConnected(channels * h * w, 256, _init(seed, fc), np.float32),
         ReLU(),
-        Conv2D(32, 64, (5, 5), (2, 2), (1, 1), _init(seed, 1), F32),  # 12x12
-        MaxPool2D(**POOL),                                            # 6x6
-        ReLU(),
-        FullyConnected(64 * 6 * 6, 256, _init(seed, 2), F32),
-        ReLU(),
-        FullyConnected(256, 10, _init(seed, 3), F32),
-        Softmax(),
-    ])
-
-
-def cifar_paper_net(seed: int) -> Network:
-    """Three conv blocks (5x5, paddings 0/2/2, 32/32/64 filters) + FC 256
-    for 3x32x32 inputs."""
-    return Network([
-        Conv2D(3, 32, (5, 5), (0, 0), (1, 1), _init(seed, 0), F32),   # 28x28
-        MaxPool2D(**POOL),                                            # 14x14
-        ReLU(),
-        Conv2D(32, 32, (5, 5), (2, 2), (1, 1), _init(seed, 1), F32),  # 14x14
-        MaxPool2D(**POOL),                                            # 7x7
-        ReLU(),
-        Conv2D(32, 64, (5, 5), (2, 2), (1, 1), _init(seed, 2), F32),  # 7x7
-        MaxPool2D(**POOL),                                            # 3x3
-        ReLU(),
-        FullyConnected(64 * 3 * 3, 256, _init(seed, 3), F32),
-        ReLU(),
-        FullyConnected(256, 10, _init(seed, 4), F32),
-        Softmax(),
-    ])
-
-
-def mnist_tiny_net(seed: int) -> Network:
-    """One hidden FC layer of 256 units for 1x28x28; fast desk-scale runs."""
-    return Network([
-        FullyConnected(28 * 28, 256, _init(seed, 0), F32),
-        ReLU(),
-        FullyConnected(256, 10, _init(seed, 1), F32),
+        FullyConnected(256, 10, _init(seed, fc + 1), np.float32),
         Softmax(),
     ])
 
@@ -111,26 +97,10 @@ def zoo_net(seed: int) -> Network:
     ])
 
 
-NET_BUILDERS = {
-    "mnist-paper": mnist_paper_net,
-    "cifar-paper": cifar_paper_net,
-    "mnist-tiny": mnist_tiny_net,
-}
-
+# the paper's SGD settings, the same for every net
+_SGD = dict(batch_size=32, alpha=0.1, momentum=0.9, decay=0.98)
 PRESETS = {
-    "mnist-paper": dict(net="mnist-paper", dataset="mnist", subset=10000,
-                        epochs=80, batch_size=32, alpha=0.1, momentum=0.9,
-                        decay=0.98, sigma=0.9),
-    "cifar-paper": dict(net="cifar-paper", dataset="cifar10", subset=10000,
-                        epochs=80, batch_size=32, alpha=0.1, momentum=0.9,
-                        decay=0.98, sigma=0.9),
-    "mnist-tiny": dict(net="mnist-tiny", dataset="digits", subset=1000,
-                       epochs=20, batch_size=32, alpha=0.1, momentum=0.9,
-                       decay=0.98, sigma=0.9),
+    "mnist-paper": dict(_SGD, dataset="mnist", subset=10000, epochs=80),
+    "cifar-paper": dict(_SGD, dataset="cifar10", subset=10000, epochs=80),
+    "mnist-tiny": dict(_SGD, dataset="digits", subset=1000, epochs=20),
 }
-
-
-def build_net(name: str, seed: int) -> Network:
-    if name not in NET_BUILDERS:
-        raise ConfigError(f"unknown network {name!r}; choose from {sorted(NET_BUILDERS)}")
-    return NET_BUILDERS[name](seed)

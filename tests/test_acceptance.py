@@ -11,6 +11,7 @@ import hashlib
 import time
 
 import numpy as np
+import pytest
 
 from ibpnet.cli import main
 from ibpnet.datasets import subset
@@ -24,7 +25,7 @@ from ibpnet.gradcheck import (
     check_layer_identities,
 )
 from ibpnet.perturb import sweep
-from ibpnet.presets import acceptance_net, mnist_paper_net, mnist_tiny_net, zoo_net
+from ibpnet.presets import acceptance_net, build_net, zoo_net
 from ibpnet.tangents import dataset_tangents
 from ibpnet.tensor import rng_stream
 from ibpnet.training import (
@@ -166,17 +167,20 @@ def test_criterion_04_degenerate_settings_reproduce_bp_bitwise():
             assert same, f"{cfg.algo} diverges from bp at step {k}"
 
 
-def test_criterion_04_degenerate_settings_reproduce_bp_bitwise_in_float32():
-    """The degenerate settings on the float32 mnist-paper net at batch 3:
+@pytest.mark.parametrize("name, in_shape", [("mnist-paper", (1, 28, 28)),
+                                            ("cifar-paper", (3, 32, 32))])
+def test_criterion_04_degenerate_settings_reproduce_bp_bitwise_in_float32(name, in_shape):
+    """The degenerate settings on a float32 paper net at batch 3:
     every algorithm's weight trajectory equals bp's bit for bit, across a
     learning-rate decay boundary. At lr 0.1 the net diverges on these noise
-    images in its second step, in float64 as in float32, so lr is 0.01."""
+    images in its second step (mnist-paper), in float64 as in float32, so lr
+    is 0.01."""
     steps = 6
-    x, labels = synth_batch(12, 3 * steps, (1, 28, 28), 10)
+    x, labels = synth_batch(12, 3 * steps, in_shape, 10)
     zero_tangents = [np.zeros((3,) + x.shape[1:]) for _ in range(5)]
 
     def trajectory(cfg, tangents=None):
-        net = mnist_paper_net(5)
+        net = build_net(name, 5)
         opt = SgdMomentum(net, cfg)
         snaps = []
         for k in range(steps):
@@ -260,7 +264,7 @@ def test_criterion_07_prediction_penalty_beats_bp_on_digit_subsets(digits_pair):
         errs = []
         for seed in (0, 1, 2):
             sub = subset(train, 1000, seed)
-            net = mnist_tiny_net(seed)
+            net = build_net("mnist-tiny", seed)
             cfg = TrainConfig(algo=algo, beta=beta, epochs=20, seed=seed)
             fit(net, sub.images, sub.labels, cfg)
             errs.append(error_rate(net, test.images, test.labels))
@@ -293,7 +297,7 @@ def test_criterion_08_per_epoch_cost_ratios_stay_in_band(glyphs_pair):
         "at": dict(algo="at", epsilon=0.1),
         "fast-at": dict(algo="fast-at", epsilon=0.1),
     }
-    runs = [(algo, mnist_paper_net(0),
+    runs = [(algo, build_net("mnist-paper", 0),
              TrainConfig(batch_size=32, epochs=1, seed=0, **kw),
              tangents if algo in ("tbp", "fast-tbp") else None)
             for algo, kw in settings.items()]
@@ -324,7 +328,7 @@ def test_criterion_09_adversarial_training_lowers_attack_error(digits_pair):
     for seed in (0, 1, 2):
         sub = subset(train, 1000, seed)
         for algo in ("bp", "at"):
-            net = mnist_tiny_net(seed)
+            net = build_net("mnist-tiny", seed)
             cfg = TrainConfig(algo=algo, epochs=10, seed=seed,
                               epsilon=epsilon if algo == "at" else 0.0)
             fit(net, sub.images, sub.labels, cfg)

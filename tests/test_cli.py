@@ -10,6 +10,7 @@ import pytest
 
 from ibpnet.cli import EPOCH_CSV_HEADER, main, run_name
 from ibpnet.perturb import CSV_HEADER
+from ibpnet.presets import build_net
 from ibpnet.training import TrainConfig
 
 
@@ -192,6 +193,11 @@ class TestTrain:
             main(["train", "--algo", "dropconnect"])
         assert exc.value.code == 2
 
+    def test_net_that_does_not_fit_the_data_exit_2(self, glyphs_dir, tmp_path, capsys):
+        # cifar-paper takes 3x32x32 images; glyphs are 1x28x28
+        assert main(train_args(glyphs_dir, tmp_path, "--preset", "cifar-paper")) == 2
+        assert "error: conv expects (N,3,H,W)" in capsys.readouterr().err
+
     def test_clip_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--clip"])
@@ -264,6 +270,14 @@ class TestEvalNoise:
                     "--data-dir", glyphs_dir]
             assert main(args) == 2
 
+    def test_net_that_does_not_fit_the_data_exit_2(self, glyphs_dir, tmp_path, capsys):
+        model = tmp_path / "cifar.ibpnet"
+        build_net("cifar-paper", 0).save(model)
+        args = ["eval-noise", "--model", str(model), "--noise", "gaussian",
+                "--levels", "0,0.1", "--dataset", "glyphs", "--data-dir", glyphs_dir]
+        assert main(args) == 2
+        assert "error: conv expects (N,3,H,W)" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_all_checks_pass(self, capsys):
@@ -295,6 +309,21 @@ class TestReport:
         table = csv_path.read_text().splitlines()
         assert table[0].startswith("dataset,algo,beta")
         assert len(table) == 3
+
+    def test_runs_of_different_epochs_are_not_pooled(self, glyphs_dir, tmp_path, capsys):
+        for epochs in ("1", "2"):
+            assert main(train_args(glyphs_dir, tmp_path, "--algo", "bp",
+                                   "--epochs", epochs)) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "table.csv"
+        assert main(["report", "--runs", str(tmp_path), "--csv", str(csv_path)]) == 0
+        body = [l for l in capsys.readouterr().out.splitlines()[2:] if l]
+        assert len(body) == 2
+        table = [line.split(",") for line in csv_path.read_text().splitlines()]
+        assert table[0][:8] == ["dataset", "algo", "beta", "epsilon", "r", "net",
+                                "epochs", "runs"]
+        assert sorted(row[5:8] for row in table[1:]) == [["mnist-tiny", "1", "1"],
+                                                         ["mnist-tiny", "2", "1"]]
 
     def test_empty_runs_exit_2(self, tmp_path, capsys):
         assert main(["report", "--runs", str(tmp_path)]) == 2

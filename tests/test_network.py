@@ -9,7 +9,7 @@ import pytest
 from ibpnet.errors import FormatError, StateError
 from ibpnet.layers import Dropout, FullyConnected, Layer, MaxPool2D, ReLU, Softmax
 from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec
-from ibpnet.presets import acceptance_net, build_net, mnist_paper_net, zoo_net
+from ibpnet.presets import acceptance_net, build_net, zoo_net
 from ibpnet.tensor import rng_stream
 
 
@@ -322,9 +322,13 @@ class TestModelFile:
         # every layer kind, float64
         (lambda: zoo_net(3), "0653020f90a25a88cb2c83070c1281e8bc909a3d4ebb81933f89251c7103a3a9"),
         # float32 weight layers, whose records carry "dtype"
-        (lambda: mnist_paper_net(1),
+        (lambda: build_net("mnist-paper", 1),
          "7cf1fc397f86183944312d6a45abb10357fec9bb5f99d164e0e31258568db1b0"),
-    ], ids=["zoo_net-3", "mnist_paper_net-1"])
+        (lambda: build_net("cifar-paper", 1),
+         "73b6b46e570cc5ee2b1c1cf78367aded6c135f777ee529807f08dd0639106593"),
+        (lambda: build_net("mnist-tiny", 1),
+         "aae4a4029d4ef6caf6babbc79828b9db8c8cf67a171c1ac36ff223d8b30be6ff"),
+    ], ids=["zoo_net-3", "mnist-paper-1", "cifar-paper-1", "mnist-tiny-1"])
     def test_untrained_file_bytes_unchanged(self, tmp_path, build, digest):
         # untrained weights come from PCG64 draws and casts only, not BLAS
         path = tmp_path / "model.ibpnet"
@@ -332,7 +336,7 @@ class TestModelFile:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_float32_roundtrip_resaves_byte_identical(self, tmp_path):
-        net = mnist_paper_net(1)
+        net = build_net("mnist-paper", 1)
         a, b = tmp_path / "a.ibpnet", tmp_path / "b.ibpnet"
         net.save(a)
         loaded = Network.load(a)
@@ -348,7 +352,7 @@ class TestModelFile:
 
     def test_truncated_float32_weights(self, tmp_path):
         path = tmp_path / "model.ibpnet"
-        mnist_paper_net(2).save(path)
+        build_net("mnist-paper", 2).save(path)
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError, match="truncated weight"):
             Network.load(path)

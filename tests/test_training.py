@@ -12,7 +12,7 @@ from ibpnet.layers import FullyConnected, ReLU, Softmax
 from ibpnet.network import Network, batched_forward
 from ibpnet.losses import aux_loss_lp
 from ibpnet.perturb import sweep
-from ibpnet.presets import acceptance_net, build_net, mnist_tiny_net, zoo_net
+from ibpnet.presets import acceptance_net, build_net, zoo_net
 from ibpnet.tangents import tangent_vectors
 from ibpnet.training import (
     ALGOS,
@@ -278,7 +278,7 @@ class TestAuxPullStopsAtLowestWeightLayer:
     NETS = {
         "acceptance": (acceptance_net, (1, 7, 7), 16),
         "zoo": (zoo_net, (1, 9, 9), 5),
-        "mnist-tiny": (mnist_tiny_net, (1, 28, 28), 10),
+        "mnist-tiny": (lambda seed: build_net("mnist-tiny", seed), (1, 28, 28), 10),
     }
 
     # the Network pass that runs the lowest weight layer's pull, per algorithm

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ibpnet import layers
-from ibpnet.presets import mnist_paper_net
+from ibpnet.presets import build_net
 from ibpnet.training import ALGOS, TrainConfig, run_step
 
 from batches import make_batch
@@ -50,7 +50,7 @@ def _run_step(algo: str, net) -> None:
 
 
 def count_step_macs(monkeypatch, algo: str) -> int:
-    """Multiply-adds of one run_step of algo on mnist_paper_net(0)."""
+    """Multiply-adds of one run_step of algo on build_net("mnist-paper", 0)."""
     total = 0
 
     def counted(fn, macs):
@@ -80,7 +80,7 @@ def count_step_macs(monkeypatch, algo: str) -> int:
     monkeypatch.setattr(fc, "jvp", counted(fc.jvp, fc_macs))
     monkeypatch.setattr(fc, "vjp_linear", counted(fc.vjp_linear, fc_macs))
     monkeypatch.setattr(fc, "weight_grad", counted(fc.weight_grad, fc_macs))
-    _run_step(algo, mnist_paper_net(0))
+    _run_step(algo, build_net("mnist-paper", 0))
     return total
 
 
@@ -117,7 +117,7 @@ class TestWorkPerStep:
         inner = fc.weight_grad
         monkeypatch.setattr(fc, "weight_grad",
                             lambda layer, a, dy: calls.append(layer) or inner(layer, a, dy))
-        net = mnist_paper_net(0)
+        net = build_net("mnist-paper", 0)
         _run_step(algo, net)
         fcs = [l for l in net.layers if isinstance(l, fc)]
         assert [calls.count(l) for l in fcs] == [FC_CONTRACTIONS[algo]] * len(fcs)
