@@ -5,7 +5,8 @@ Subcommands: train (one run, or a --beta-grid sweep of runs), eval-noise
 fixed tiny networks), and report (Table-style aggregation of run records).
 
 Outputs under --out: MODEL files (one per run), per-epoch CSV curves, and a
-runs.jsonl file with one JSON record per run. Re-running a command with the
+runs.jsonl file with one JSON record per run; each run's files are named by
+run_name from its recorded settings. Re-running a command with the
 same flags and seed reproduces model files and CSVs byte for byte; wall-time
 fields live only in the JSON records. Exit codes: 0 success, 1 check or
 numeric failure, 2 usage error.
@@ -14,6 +15,7 @@ numeric failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -97,15 +99,20 @@ def _train_settings(args) -> tuple:
     return cfg, betas, run
 
 
-def run_name(cfg: TrainConfig, dataset: str) -> str:
-    name = f"{dataset}-{cfg.algo}"
-    if cfg.algo in REGULARIZED:
-        name += f"-beta{cfg.beta:g}"
-    if cfg.algo in LP_ALGOS:
-        name += f"-r{cfg.r}"
-    if cfg.algo in ADVERSARIAL:
-        name += f"-eps{cfg.epsilon:g}"
-    return name + f"-seed{cfg.seed}"
+def run_name(config: dict) -> str:
+    """<dataset>-<algo>[-beta<b>][-r<r>][-eps<e>]-seed<s>-<digest> for a run
+    record's config (every TrainConfig field and run setting). The digest, 8
+    hex digits of the config's sha256, gives runs that differ in any setting
+    their own files, while identical flags rewrite the same ones."""
+    name = f"{config['dataset']}-{config['algo']}"
+    if config["algo"] in REGULARIZED:
+        name += f"-beta{config['beta']:g}"
+    if config["algo"] in LP_ALGOS:
+        name += f"-r{config['r']}"
+    if config["algo"] in ADVERSARIAL:
+        name += f"-eps{config['epsilon']:g}"
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:8]
+    return f"{name}-seed{config['seed']}-{digest}"
 
 
 def _write_epoch_csv(path: str, history):
@@ -128,7 +135,8 @@ def train_once(cfg: TrainConfig, run: dict, train_ds, test_ds, tangents, out: st
             raw = denormalize(xb, mean)
             return normalize(augment_batch(raw, spec, aug_rng), mean)
 
-    name = run_name(cfg, run["dataset"])
+    config = {**asdict(cfg), **run}
+    name = run_name(config)
     print(f"== {name} ==", flush=True)
     log = lambda st: print(
         f"epoch {st.epoch:3d}  loss {st.mean_loss:.6f}  aux {st.mean_aux:.6f}"
@@ -146,7 +154,7 @@ def train_once(cfg: TrainConfig, run: dict, train_ds, test_ds, tangents, out: st
     record = dict(
         name=name,
         build_id=f"ibpnet-{__version__}",
-        config={**asdict(cfg), **run},
+        config=config,
         epochs=[
             dict(epoch=st.epoch, train_loss=st.mean_loss, aux_loss=st.mean_aux,
                  test_error=st.test_error, lr=st.lr, seconds=st.seconds)

@@ -471,8 +471,24 @@ def check_fast_at_firstorder(net: Network, batch,
 # Check: single-neuron noise-injection identity
 # ---------------------------------------------------------------------------
 
+_MC_BLOCK = 1 << 14  # Monte-Carlo pairs drawn and summed at a time
+
+
 def _neuron_loss(p, label):
     return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
+
+
+def _mc_trace(w, p: float, label: int, sigma: float, samples: int, seed: int) -> float:
+    """2*(E[L(x+mu)] - L(x))/sigma^2 over samples//2 antithetic pairs, drawn
+    and summed _MC_BLOCK pairs at a time: block after block, the stream gives
+    the samples of one whole draw."""
+    rng = rng_stream(seed, "noise-injection")
+    half, total, l0 = samples // 2, 0.0, _neuron_loss(p, label)
+    for lo in range(0, half, _MC_BLOCK):
+        shifts = rng.normal(0.0, sigma, size=(min(_MC_BLOCK, half - lo), w.size)) @ w
+        pairs = 0.5 * (_neuron_loss(p + shifts, label) + _neuron_loss(p - shifts, label))
+        total += float((pairs - l0).sum())
+    return total / half * 2.0 / sigma ** 2
 
 
 def check_noise_injection(w, b: float, x, label: int, sigma: float = 0.01,
@@ -508,12 +524,7 @@ def check_noise_injection(w, b: float, x, label: int, sigma: float = 0.01,
     worst = f"p={p:.3f} analytic={analytic:.6g} fd={trace_fd:.6g}"
     tol = 1e-6
     if mc:
-        rng = rng_stream(seed, "noise-injection")
-        half = samples // 2
-        shifts = rng.normal(0.0, sigma, size=(half, x.size)) @ w
-        l_plus = _neuron_loss(p + shifts, label)
-        l_minus = _neuron_loss(p - shifts, label)
-        mc_trace = float((0.5 * (l_plus + l_minus) - l0).mean()) * 2.0 / sigma ** 2
+        mc_trace = _mc_trace(w, p, label, sigma, samples, seed)
         err_mc = abs(mc_trace - analytic) / abs(analytic)
         if err_mc / 0.05 > err / tol:
             err, tol = err_mc, 0.05

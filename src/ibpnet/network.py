@@ -37,6 +37,7 @@ from .layers import (
     Sigmoid,
     Softmax,
 )
+from .tensor import _EVAL_SLICE_BYTES
 
 MAGIC = b"IBPNET1"
 # every layer kind a model file may hold, by the kind its records carry
@@ -197,7 +198,22 @@ def layer_from_spec(spec: dict, rng: np.random.Generator | None) -> Layer:
         raise FormatError(f"{kind} record {spec!r} is rejected: {exc}") from exc
 
 
+def slice_images(net: Network, x, batch_size: int) -> int:
+    """Images per inference slice over x (anything with ``shape`` and
+    ``dtype``): at most batch_size, and as many as keep the widest per-image
+    activation, the input included, within tensor._EVAL_SLICE_BYTES; at least
+    one. The widths come from a one-image predict of zeros, layer by layer."""
+    a = np.zeros((1,) + tuple(x.shape[1:]), x.dtype)
+    widest = a.nbytes
+    for layer in net.layers:
+        a = layer.predict(a)
+        widest = max(widest, a.nbytes)
+    return max(1, min(batch_size, _EVAL_SLICE_BYTES // widest))
+
+
 def batched_forward(net: Network, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Inference over x in slices, concatenating the outputs."""
-    outs = [net.predict(x[i:i + batch_size]) for i in range(0, len(x), batch_size)]
+    """Inference over x in slices of slice_images(net, x, batch_size) images,
+    concatenating the outputs."""
+    step = slice_images(net, x, batch_size)
+    outs = [net.predict(x[i:i + step]) for i in range(0, x.shape[0], step)]
     return np.concatenate(outs, axis=0)

@@ -30,6 +30,7 @@ from .errors import ConfigError, ShapeError
 
 _CONV_CHUNK_BYTES = 2 << 20  # patch matrix per conv chunk
 _POOL_CHUNK_BYTES = 1 << 20  # input per max-pool chunk
+_EVAL_SLICE_BYTES = 4 << 20  # widest activation per inference slice (network.slice_images)
 
 
 def lp_norm(t: np.ndarray, r: int) -> float:

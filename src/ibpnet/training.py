@@ -52,7 +52,7 @@ from .losses import (
     # not called here, but perfbench's probe table patches training.squared_loss
     squared_loss,
 )
-from .network import Network, batched_forward
+from .network import Network, batched_forward, slice_images
 from .tensor import rng_stream
 
 ALGOS = ("bp", "loss-ibp", "pred-ibp", "tbp", "fast-tbp", "at", "fast-at")
@@ -337,10 +337,12 @@ def input_gradient(net: Network, x: np.ndarray, labels: np.ndarray,
     """Loss gradient with respect to the inputs, evaluated with the network
     in inference mode (dropout off) and without writing any gradient
     buffers. labels must be one-hot. Returns (grad, network output at x);
-    grad is written batch by batch into one array in the net's dtype."""
+    grad is written slice by slice (network.slice_images) into one array in
+    the net's dtype."""
     grad, outs = None, []
-    for lo in range(0, x.shape[0], batch_size):
-        sl = slice(lo, lo + batch_size)
+    step = slice_images(net, x, batch_size)
+    for lo in range(0, x.shape[0], step):
+        sl = slice(lo, lo + step)
         outs.append(net.forward(x[sl], train=False))
         _, seed = _loss_seed(net, outs[-1], labels[sl], "input_gradient")
         dy0 = net.vjp_linear(seed)

@@ -8,6 +8,7 @@ digits (skipped without scikit-learn), 8 on the built-in glyphs. Criterion
 """
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -346,14 +347,14 @@ def test_criterion_09_adversarial_training_lowers_attack_error(digits_pair):
 def test_criterion_10_identical_cli_runs_are_byte_identical(glyphs_dir, tmp_path):
     """Training plus a corruption sweep, run twice with the same flags and
     seed, emit byte-identical model files and CSV tables."""
-    name = "glyphs-loss-ibp-beta0.3-r2-seed3"
-
     def run(out) -> list:
         args = ["train", "--dataset", "glyphs", "--data-dir", glyphs_dir,
                 "--subset-size", "300", "--epochs", "2", "--batch-size", "32",
                 "--algo", "loss-ibp", "--beta", "0.3", "--r", "2",
                 "--seed", "3", "--out", str(out)]
         assert main(args) == 0
+        name = json.loads((out / "runs.jsonl").read_text())["name"]
+        assert name.startswith("glyphs-loss-ibp-beta0.3-r2-seed3-")
         model = out / f"{name}.ibpnet"
         noise_csv = out / "noise.csv"
         assert main(["eval-noise", "--model", str(model),

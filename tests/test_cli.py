@@ -3,6 +3,7 @@ degenerate-settings equivalences visible through the CSV curves."""
 
 import json
 import os
+import re
 import struct
 from dataclasses import asdict, fields
 
@@ -26,33 +27,59 @@ def read_csv_rows(path):
     return [line.split(",") for line in lines[1:]]
 
 
+def records(out):
+    """The runs.jsonl records under out, in run order."""
+    return [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+
+
+def readable(name):
+    """A run name without its trailing config digest."""
+    stem, digest = name.rsplit("-", 1)
+    assert re.fullmatch("[0-9a-f]{8}", digest), name
+    return stem
+
+
+RUN = dict(dataset="digits", net="mnist-tiny", subset=0, sigma=0.9, augment=False,
+           normalize_tangents=False, preset=None)
+
+
+def config(cfg=TrainConfig(), **run):
+    """A run record's config: cfg's fields and RUN's settings, run overriding."""
+    return {**asdict(cfg), **RUN, **run}
+
+
 class TestRunName:
     def test_variants(self):
-        assert run_name(TrainConfig(), "digits") == "digits-bp-seed0"
+        assert readable(run_name(config())) == "digits-bp-seed0"
         cfg = TrainConfig(algo="loss-ibp", beta=0.3, r=2, seed=1)
-        assert run_name(cfg, "digits") == "digits-loss-ibp-beta0.3-r2-seed1"
+        assert readable(run_name(config(cfg))) == "digits-loss-ibp-beta0.3-r2-seed1"
         cfg = TrainConfig(algo="at", epsilon=0.1)
-        assert run_name(cfg, "mnist") == "mnist-at-eps0.1-seed0"
+        assert readable(run_name(config(cfg, dataset="mnist"))) == "mnist-at-eps0.1-seed0"
         cfg = TrainConfig(algo="fast-tbp", beta=1.0)
-        assert run_name(cfg, "digits") == "digits-fast-tbp-beta1-seed0"
+        assert readable(run_name(config(cfg))) == "digits-fast-tbp-beta1-seed0"
+
+    def test_every_setting_reaches_the_name(self):
+        names = {run_name(c) for c in (
+            config(), config(TrainConfig(epochs=2)), config(TrainConfig(alpha=0.05)),
+            config(augment=True), config(net="mnist-paper"), config(preset="mnist-tiny"))}
+        assert len(names) == 6
+        assert run_name(config()) == run_name(config())
 
 
 class TestTrain:
     def test_happy_path_writes_model_csv_and_record(self, glyphs_dir, tmp_path, capsys):
         assert main(train_args(glyphs_dir, tmp_path, "--algo", "bp")) == 0
         out = capsys.readouterr().out
-        assert "== glyphs-bp-seed0 ==" in out
+        [rec] = records(tmp_path)
+        name = rec["name"]
+        assert readable(name) == "glyphs-bp-seed0"
+        assert f"== {name} ==" in out
         assert "final test_err" in out
-        model = tmp_path / "glyphs-bp-seed0.ibpnet"
-        csv = tmp_path / "glyphs-bp-seed0.csv"
+        model = tmp_path / f"{name}.ibpnet"
+        csv = tmp_path / f"{name}.csv"
         assert model.exists() and csv.exists()
         rows = read_csv_rows(csv)
         assert len(rows) == 1 and rows[0][0] == "0"
-        records = [json.loads(line)
-                   for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
-        assert len(records) == 1
-        rec = records[0]
-        assert rec["name"] == "glyphs-bp-seed0"
         assert rec["build_id"].startswith("ibpnet-")
         assert rec["config"]["algo"] == "bp"
         assert rec["config"]["subset"] == 200
@@ -92,8 +119,7 @@ class TestTrain:
         args = train_args(glyphs_dir, tmp_path, "--algo", "loss-ibp",
                           "--beta-grid", "0.1,0.3")
         assert main(args) == 0
-        names = {json.loads(line)["name"]
-                 for line in (tmp_path / "runs.jsonl").read_text().splitlines()}
+        names = {readable(rec["name"]) for rec in records(tmp_path)}
         assert names == {"glyphs-loss-ibp-beta0.1-r1-seed0",
                          "glyphs-loss-ibp-beta0.3-r1-seed0"}
 
@@ -101,16 +127,33 @@ class TestTrain:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(train_args(glyphs_dir, a, "--algo", "bp")) == 0
         assert main(train_args(glyphs_dir, b, "--algo", "bp")) == 0
-        name = "glyphs-bp-seed0"
+        [rec_a], [rec_b] = records(a), records(b)
+        name = rec_a["name"]
+        assert rec_b["name"] == name
         assert (a / f"{name}.ibpnet").read_bytes() == (b / f"{name}.ibpnet").read_bytes()
         assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
+
+    def test_runs_of_different_epochs_keep_their_own_files(self, glyphs_dir, tmp_path):
+        # one --out, --epochs 1 then --epochs 2: two models and two records
+        # that point at different files; the same flags again rewrite a file
+        for epochs in ("1", "2", "2"):
+            args = train_args(glyphs_dir, tmp_path, "--algo", "bp")
+            args[args.index("--epochs") + 1] = epochs
+            assert main(args) == 0
+        one, two, again = records(tmp_path)
+        assert one["model_path"] != two["model_path"] == again["model_path"]
+        assert sorted(p.name for p in tmp_path.glob("*.ibpnet")) == sorted(
+            os.path.basename(rec["model_path"]) for rec in (one, two))
+        assert len(list(tmp_path.glob("*.csv"))) == 2
+        assert len(read_csv_rows(tmp_path / f"{one['name']}.csv")) == 1
+        assert len(read_csv_rows(tmp_path / f"{two['name']}.csv")) == 2
 
     def test_loss_ibp_beta_zero_curve_equals_bp(self, glyphs_dir, tmp_path):
         assert main(train_args(glyphs_dir, tmp_path, "--algo", "bp")) == 0
         assert main(train_args(glyphs_dir, tmp_path, "--algo", "loss-ibp",
                                "--beta", "0")) == 0
-        bp = read_csv_rows(tmp_path / "glyphs-bp-seed0.csv")
-        ibp = read_csv_rows(tmp_path / "glyphs-loss-ibp-beta0-r1-seed0.csv")
+        bp, ibp = (read_csv_rows(tmp_path / f"{rec['name']}.csv")
+                   for rec in records(tmp_path))
         for row_bp, row_ibp in zip(bp, ibp):
             # identical trajectories: only the reported aux loss may differ
             assert row_bp[:2] == row_ibp[:2]
@@ -211,7 +254,8 @@ def trained_model(glyphs_dir, tmp_path_factory):
                  "--epochs", "1", "--batch-size", "32", "--algo", "bp",
                  "--data-dir", glyphs_dir, "--out", str(out)])
     assert code == 0
-    return str(out / "glyphs-bp-seed0.ibpnet")
+    [rec] = records(out)
+    return rec["model_path"]
 
 
 class TestEvalNoise:

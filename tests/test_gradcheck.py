@@ -1,6 +1,8 @@
 """Tests of the verification machinery itself: the relative-error metric,
 finite-difference driver, oracle tensor ops, and the frozen linearization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,39 @@ class TestCheckValidation:
                                     mc=False)
         assert rep.passed
         assert "analytic=1" in rep.worst
+
+
+class TestNoiseInjectionBlocks:
+    """The Monte-Carlo pairs are drawn and summed in fixed blocks."""
+
+    def _neuron(self):
+        return np.array([0.3, -0.2, 0.5, 0.1]), 0.2, np.array([0.4, 0.1, -0.3, 0.6]), 1
+
+    @pytest.mark.parametrize("block", [gradcheck._MC_BLOCK, 7919])  # 7919: a short last block
+    def test_blocks_give_the_whole_draw(self, block, monkeypatch):
+        # the estimate of one (500000, 4) draw, as it was made before blocks
+        w, b, x, label = self._neuron()
+        p = float(w @ x + b)
+        shifts = rng_stream(3, "noise-injection").normal(0.0, 0.01, size=(500000, 4)) @ w
+        l0 = gradcheck._neuron_loss(p, label)
+        pairs = 0.5 * (gradcheck._neuron_loss(p + shifts, label)
+                       + gradcheck._neuron_loss(p - shifts, label))
+        whole = float((pairs - l0).mean()) * 2.0 / 0.01 ** 2
+        monkeypatch.setattr(gradcheck, "_MC_BLOCK", block)
+        got = gradcheck._mc_trace(w, p, label, 0.01, 10 ** 6, 3)
+        assert got == pytest.approx(whole, rel=1e-9)  # only the summation order moved
+
+    def test_peak_memory_of_a_million_samples(self):
+        # a whole draw held (500000, 4) float64 samples and three 4 MB
+        # temporaries, 28 MB
+        w, b, x, label = self._neuron()
+        tracemalloc.start()
+        try:
+            check_noise_injection(w, b, x, label, samples=10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestCheckVerdicts:

@@ -8,9 +8,10 @@ import pytest
 
 from ibpnet.errors import FormatError, StateError
 from ibpnet.layers import Dropout, FullyConnected, Layer, MaxPool2D, ReLU, Softmax
-from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec
+from ibpnet import network
+from ibpnet.network import MAGIC, Network, batched_forward, layer_from_spec, slice_images
 from ibpnet.presets import acceptance_net, build_net, zoo_net
-from ibpnet.tensor import rng_stream
+from ibpnet.tensor import _EVAL_SLICE_BYTES, rng_stream
 
 
 def small_net(seed=0):
@@ -179,12 +180,44 @@ class TestPasses:
         assert sum(w.size + b.size for w, b in net.params()) == 6 * 8 + 8 + 8 * 3 + 3
         assert [w.shape for w, _ in net.params()] == [(6, 8), (8, 3)]
 
-    def test_batched_forward_matches_whole_batch(self):
+    # float32 mnist-paper slices at 52 images under batch size 256; 126
+    # images leave no slice of one image, whose one-row FC product takes
+    # another BLAS path and may differ in the last bits
+    @pytest.mark.parametrize("build, x_shape, dtype", [
+        (acceptance_net, (23, 1, 7, 7), np.float64),
+        (lambda seed: build_net("mnist-paper", seed), (126, 1, 28, 28), np.float32),
+    ], ids=["acceptance", "mnist-paper"])
+    def test_batched_forward_matches_whole_batch(self, build, x_shape, dtype):
         rng = np.random.default_rng(4)
-        net = acceptance_net(0)
-        x = rng.normal(size=(23, 1, 7, 7))
-        np.testing.assert_array_equal(batched_forward(net, x, batch_size=7),
-                                      net.forward(x))
+        net = build(0)
+        x = rng.normal(size=x_shape).astype(dtype)
+        whole = net.forward(x)
+        for batch_size in (256, 7):
+            assert batched_forward(net, x, batch_size).tobytes() == whole.tobytes()
+
+
+class TestInferenceSlices:
+    """Inference passes run in slices that keep the net's widest per-image
+    activation within one byte budget, capped by the caller's batch size."""
+
+    # the widest float32 activation per image: conv1's output on the two
+    # conv nets (32 filters of 25x25 and 28x28), the input on mnist-tiny;
+    # then the images per slice at the default batch size of 256
+    @pytest.mark.parametrize("name, in_shape, widest, at_256", [
+        ("mnist-paper", (1, 28, 28), 32 * 25 * 25 * 4, 52),
+        ("cifar-paper", (3, 32, 32), 32 * 28 * 28 * 4, 41),
+        ("mnist-tiny", (1, 28, 28), 28 * 28 * 4, 256),
+    ])
+    def test_slice_from_the_widest_activation(self, name, in_shape, widest, at_256):
+        net = build_net(name, 0)
+        x = np.zeros((3,) + in_shape, np.float32)
+        assert slice_images(net, x, 10 ** 6) == _EVAL_SLICE_BYTES // widest
+        assert slice_images(net, x, 256) == at_256
+        assert slice_images(net, x, 7) == 7  # the batch size stays the upper bound
+
+    def test_at_least_one_image(self, monkeypatch):
+        monkeypatch.setattr(network, "_EVAL_SLICE_BYTES", 1)
+        assert slice_images(acceptance_net(0), np.zeros((5, 1, 7, 7)), 256) == 1
 
 
 class TestPredict:

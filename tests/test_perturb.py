@@ -16,6 +16,7 @@ from ibpnet.perturb import (
     sweep,
 )
 from ibpnet.presets import acceptance_net, build_net
+from ibpnet.tensor import _EVAL_SLICE_BYTES
 from ibpnet.training import adversarial_shift, error_rate, input_gradient
 
 from batches import make_batch
@@ -151,7 +152,7 @@ LEVELS = {"gaussian": [0.0, 0.5, 2.0], "adversarial": [0.0, 0.1, 0.3]}
 
 
 class TestStreamedSweep:
-    """Each level is corrupted one eval batch at a time."""
+    """Each level is corrupted one slice at a time."""
 
     @pytest.fixture()
     def net_and_set(self):
@@ -202,3 +203,56 @@ class TestStreamedSweep:
             tracemalloc.stop()
         used = peak / (x.size * 8)
         assert used < copies, f"{used:.2f} float64 copies of the set"
+
+
+def paper_set(name: str, n: int):
+    """An untrained float32 paper net and n random float32 images of its input shape."""
+    shape = {"mnist-paper": (1, 28, 28), "cifar-paper": (3, 32, 32),
+             "mnist-tiny": (1, 28, 28)}[name]
+    rng = np.random.default_rng(14)
+    x = rng.random((n,) + shape, dtype=np.float32)
+    return build_net(name, 0), x, np.eye(10)[rng.integers(0, 10, size=n)]
+
+
+class TestSlicedSweep:
+    """The paper nets' sweeps run in slices sized from the widest activation,
+    not from the caller's 256-image batch."""
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("name", ["mnist-paper", "cifar-paper"])
+    def test_peak_memory_set_by_the_slice_budget(self, name, kind):
+        # a slice's activations, caches and cotangents, and the kernels' chunk
+        # temporaries, fit in a few budgets; the adversarial sweep also keeps
+        # the set's gradient. Whole 256-image batches peaked at 36-58 MiB.
+        net, x, labels = paper_set(name, 256)
+        tracemalloc.start()
+        try:
+            sweep(net, x, labels, kind, [0.0, 0.1], seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * _EVAL_SLICE_BYTES + x.nbytes
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("name", ["mnist-paper", "cifar-paper"])
+    def test_errors_equal_at_batch_size_7(self, name, kind):
+        net, x, labels = paper_set(name, 256)
+        levels = [0.0, 0.1, 0.5]
+        assert (sweep(net, x, labels, kind, levels, seed=0).errors
+                == sweep(net, x, labels, kind, levels, seed=0, batch_size=7).errors)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("name, step", [("mnist-tiny", 256), ("mnist-paper", 52)])
+    def test_one_pass_per_slice_and_level(self, name, step, kind, monkeypatch):
+        net, x, labels = paper_set(name, 600)
+        sizes = []
+        for method in ("forward", "predict"):
+            def counted(*args, inner=getattr(net, method), **kw):
+                sizes.append(args[0].shape[0])
+                return inner(*args, **kw)
+            monkeypatch.setattr(net, method, counted)
+        sweep(net, x, labels, kind, [0.0, 0.1, 0.2], seed=0)
+        # the adversarial gradient pass also scores level 0
+        per_level = [step] * (len(x) // step) + [len(x) % step]
+        assert sizes == per_level * 3

@@ -471,6 +471,19 @@ class TestInputGradient:
         b, _ = input_gradient(net, x, labels, batch_size=100)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
+    def test_float32_slices_agree_to_rounding(self):
+        # a paper net slices below its batch size; the slice size moves only
+        # the rounding of the 1/n batch factor, which is multiplied back
+        rng = np.random.default_rng(3)
+        net = build_net("mnist-paper", 0)
+        x = rng.random((126, 1, 28, 28), dtype=np.float32)
+        labels = np.eye(10)[rng.integers(0, 10, size=126)]
+        a, _ = input_gradient(net, x, labels)
+        b, _ = input_gradient(net, x, labels, batch_size=7)
+        np.testing.assert_allclose(
+            a, b, rtol=0, atol=16 * np.finfo(np.float32).eps * np.abs(b).max())
+        assert (np.sign(a) == np.sign(b)).all()
+
     def test_leaves_weights_alone(self):
         rng = np.random.default_rng(13)
         net = acceptance_net(13)
