@@ -211,9 +211,18 @@ def slice_images(net: Network, x, batch_size: int) -> int:
     return max(1, min(batch_size, _EVAL_SLICE_BYTES // widest))
 
 
+def image_slices(net: Network, x, batch_size: int) -> list[slice]:
+    """The fewest slices of x's images that hold at most
+    slice_images(net, x, batch_size) each, of sizes that differ by at most
+    one: a GEMM of very few rows takes another BLAS path, whose last bits
+    differ, so no slice is left with a small remainder."""
+    n = x.shape[0]
+    k = -(-n // slice_images(net, x, batch_size))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def batched_forward(net: Network, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Inference over x in slices of slice_images(net, x, batch_size) images,
-    concatenating the outputs."""
-    step = slice_images(net, x, batch_size)
-    outs = [net.predict(x[i:i + step]) for i in range(0, x.shape[0], step)]
+    """Inference over x in image_slices(net, x, batch_size), concatenating
+    the outputs."""
+    outs = [net.predict(x[sl]) for sl in image_slices(net, x, batch_size)]
     return np.concatenate(outs, axis=0)

@@ -17,11 +17,23 @@ geometry: when an output row (Wo values) is longer than a channels-last
 kernel row (kw*C values), as in first layers with few input channels, it
 works per image in NCHW on a (C*kh*kw, Ho*Wo) patch stack; otherwise
 channels-last on one patch matrix per chunk.
+
+The conv and max-pool kernels spread their chunks over kernel_workers()
+threads, the caller's included: the CPUs the process may use per OpenBLAS
+thread, so that the two kinds of thread do not contend. At OpenBLAS's default
+of a thread per CPU that is 1, one loop in the caller; OPENBLAS_NUM_THREADS=1
+gives a worker per CPU. Each worker takes the next chunk not yet taken, each
+chunk writing its own output slices, and the weight gradient adds rounds of
+k chunk products in chunk order, so every count gives the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -31,6 +43,8 @@ from .errors import ConfigError, ShapeError
 _CONV_CHUNK_BYTES = 2 << 20  # patch matrix per conv chunk
 _POOL_CHUNK_BYTES = 1 << 20  # input per max-pool chunk
 _EVAL_SLICE_BYTES = 4 << 20  # widest activation per inference slice (network.slice_images)
+_WORKERS = None  # threads per kernel call, the caller's included; set by kernel_workers()
+_POOL = (None, None, None)  # (pid, workers, executor) of the kernels' worker threads
 
 
 def lp_norm(t: np.ndarray, r: int) -> float:
@@ -51,6 +65,71 @@ def rng_stream(seed: int, tag: str) -> np.random.Generator:
     """
     tag_int = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag_int])))
+
+
+# ---------------------------------------------------------------------------
+# Kernel worker threads
+# ---------------------------------------------------------------------------
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count, read through ctypes from the copy a NumPy
+    wheel bundles and has loaded (numpy.libs); None without one."""
+    for so in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(so)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_int
+                return getattr(lib, name)()
+    return None
+
+
+def kernel_workers() -> int:
+    """Threads per conv and max-pool kernel call, the caller's included: the
+    usable CPUs per BLAS thread, or 1 when the BLAS thread count is unknown."""
+    global _WORKERS
+    if _WORKERS is None:
+        threads = blas_threads()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _WORKERS = max(1, cpus // threads) if threads else 1
+    return _WORKERS
+
+
+def _each(fn, items) -> list:
+    """[fn(item) for item in items], each item taken by the next free thread
+    of this one and the pool's (which each process makes on first use).
+    Pool threads that have not started when this thread runs out of items
+    are cancelled, so a CPU kept busy by others does not hold up the call."""
+    global _POOL
+    results = [None] * len(items)
+    todo = enumerate(items)  # its next() holds the GIL, so each item goes once
+
+    def work():
+        for i, item in todo:
+            results[i] = fn(item)
+
+    k = min(kernel_workers(), len(items))
+    if k > 1 and _POOL[:2] != (os.getpid(), _WORKERS):
+        _POOL = (os.getpid(), _WORKERS, ThreadPoolExecutor(_WORKERS - 1, "ibpnet-kernel"))
+    futures = [_POOL[2].submit(work) for _ in range(k - 1)]
+    try:
+        work()
+    finally:  # a cancelled task counts as done only once a thread dequeues it
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+    return results
+
+
+def _chunk_sum(acc, product, n: int, step: int):
+    """acc plus product(n0) for every chunk start, added in chunk order; the
+    k workers make k products at a time, so at most k are alive."""
+    k = kernel_workers()
+    for r in range(0, n, k * step):
+        for p in _each(product, range(r, min(n, r + k * step), step)):
+            acc += p
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +241,8 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
         wmat = filters.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
     out = np.empty((n, f, ho, wo), dtype=x.dtype)
     step = _conv_chunk(c, (kh, kw), (ho, wo), x.itemsize)
-    for n0 in range(0, n, step):
+
+    def chunk(n0):
         xc = x[n0:n0 + step]
         b = len(xc)
         if per_image:
@@ -170,12 +250,14 @@ def conv2d(x, filters, pad=(0, 0), stride=(1, 1), bias=None) -> np.ndarray:
             np.matmul(wmat, _patch_stack(xc, (kh, kw), pad, stride, (ho, wo)), out=y)
             if bias is not None:
                 y += bias[:, None]
-            continue
+            return
         xp = _channels_last(xc, (h + 2 * ph, w + 2 * pw), pad, 0.0)
         y = _patches(xp, (kh, kw), stride, (ho, wo)) @ wmat
         if bias is not None:
             y += bias
         out[n0:n0 + b] = y.reshape(b, ho, wo, f).transpose(0, 3, 1, 2)
+
+    _each(chunk, range(0, n, step))  # each chunk writes its own slices
     return out
 
 
@@ -194,19 +276,19 @@ def conv2d_weight_grad(x, dy, kernel, pad, stride):
     ph, pw = pad
     step = _conv_chunk(c, kernel, (ho, wo), x.itemsize)
     if _per_image(c, kernel, (ho, wo)):
-        acc = np.zeros((f, c * kh * kw), dtype=x.dtype)
-        for n0 in range(0, n, step):
+        def product(n0):
             stack = _patch_stack(x[n0:n0 + step], kernel, pad, stride, (ho, wo))
             dyc = dy[n0:n0 + step].reshape(len(stack), f, ho * wo)
-            acc += np.matmul(dyc, stack.transpose(0, 2, 1)).sum(axis=0)
-        dw = acc.reshape(f, c, kh, kw)
+            return np.matmul(dyc, stack.transpose(0, 2, 1)).sum(axis=0)
+        dw = _chunk_sum(np.zeros((f, c * kh * kw), dtype=x.dtype), product, n, step)
+        dw = dw.reshape(f, c, kh, kw)
     else:
-        acc = np.zeros((kh * kw * c, f), dtype=x.dtype)
-        for n0 in range(0, n, step):
+        def product(n0):
             xp = _channels_last(x[n0:n0 + step], (h + 2 * ph, w + 2 * pw), pad, 0.0)
             dyc = dy[n0:n0 + step].transpose(0, 2, 3, 1).reshape(-1, f)
-            acc += _patches(xp, kernel, stride, (ho, wo)).T @ dyc
-        dw = np.ascontiguousarray(acc.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
+            return _patches(xp, kernel, stride, (ho, wo)).T @ dyc
+        dw = _chunk_sum(np.zeros((kh * kw * c, f), dtype=x.dtype), product, n, step)
+        dw = np.ascontiguousarray(dw.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
     db = dy.sum(axis=(0, 2, 3))
     return dw, db
 
@@ -237,7 +319,8 @@ def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
         taps = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))  # kh,kw,F,C
     dx = np.empty((n, c, h, w), dtype=dy.dtype)
     step = _conv_chunk(c, (kh, kw), (ho, wo), dy.itemsize)
-    for n0 in range(0, n, step):
+
+    def chunk(n0):
         dyc = dy[n0:n0 + step]
         b = len(dyc)
         if per_image:
@@ -247,13 +330,15 @@ def conv2d_input_grad(dy, filters, pad, stride, in_hw) -> np.ndarray:
                 for v in range(kw):
                     dxp[:, :, rows[u], cols[v]] += per_tap[:, :, u, v]
             dx[n0:n0 + b] = dxp[:, :, ph:ph + h, pw:pw + w]
-            continue
+            return
         dyt = dyc.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
         dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c), dtype=dy.dtype)
         for u in range(kh):
             for v in range(kw):
                 dxp[:, rows[u], cols[v], :] += (dyt @ taps[u, v]).reshape(b, ho, wo, c)
         dx[n0:n0 + b] = dxp[:, ph:ph + h, pw:pw + w, :].transpose(0, 3, 1, 2)
+
+    _each(chunk, range(0, n, step))  # each chunk writes its own slices
     return dx
 
 
@@ -303,10 +388,11 @@ def maxpool_forward(x, window, stride, positions: bool = True):
     offsets = [u * w + v for u in range(kh) for v in range(kw)]
     starts = np.arange(ho)[:, None] * (sh * w) + np.arange(wo) * sw
     out = np.empty((n, c, ho, wo), dtype=x.dtype)
-    # positions lie below H*W; gather and scatter add int64 plane offsets
+    # positions lie below H*W; gather and scatter add the plane offsets
     argmax = np.empty((n, c, ho, wo), dtype=np.int32) if positions else None
     step = _pool_chunk(c, (h, w), x.itemsize)
-    for n0 in range(0, n, step):
+
+    def chunk(n0):
         xc = x[n0:n0 + step]
         xp = _channels_last(xc[:, :, :hp, :wp], (hp, wp), (0, 0), -np.inf)
         taps = [xp[:, u:u + (ho - 1) * sh + 1:sh, v:v + (wo - 1) * sw + 1:sw, :]
@@ -316,7 +402,7 @@ def maxpool_forward(x, window, stride, positions: bool = True):
             np.maximum(best, t, out=best)
         out[n0:n0 + len(xc)] = best.transpose(0, 3, 1, 2)
         if not positions:
-            continue
+            return
         # idx -= hit * (idx - off) sets idx to off where the tap at offset
         # off is maximal; the smallest unsigned type holding every offset
         # keeps it exact
@@ -329,6 +415,8 @@ def maxpool_forward(x, window, stride, positions: bool = True):
             np.multiply(delta, hit, out=delta)
             np.subtract(idx, delta, out=idx)
         np.add(idx.transpose(0, 3, 1, 2), starts, out=argmax[n0:n0 + len(xc)])
+
+    _each(chunk, range(0, n, step))  # each chunk writes its own slices
     return out, argmax
 
 
@@ -345,19 +433,24 @@ def maxpool_scatter(dy, argmax, in_hw) -> np.ndarray:
     dx = np.empty((n, c, h, w), dtype=dy.dtype)
     step = _pool_chunk(c, in_hw, 8)  # sized by bincount's float64 sums
     planes = np.arange(step * c).reshape(step, c, 1, 1) * (h * w)
-    for n0 in range(0, n, step):
-        chunk = dx[n0:n0 + step]
-        chunk[...] = np.bincount((argmax[n0:n0 + step] + planes[:len(chunk)]).ravel(),
-                                 dy[n0:n0 + step].ravel(), chunk.size).reshape(chunk.shape)
+
+    def chunk(n0):
+        dxc = dx[n0:n0 + step]
+        dxc[...] = np.bincount((argmax[n0:n0 + step] + planes[:len(dxc)]).ravel(),
+                               dy[n0:n0 + step].ravel(), dxc.size).reshape(dxc.shape)
+
+    _each(chunk, range(0, n, step))  # each chunk writes its own slices
     return dx
 
 
 def maxpool_gather(v, argmax, in_hw) -> np.ndarray:
     """JVP of maxpool: pick the cached argmax positions regardless of value,
-    as one flat take at argmax plus each (image, channel) plane's offset."""
+    as one flat take at argmax plus each (image, channel) plane's offset.
+    The offsets are int32, argmax's dtype, while every flat index fits it."""
     n, c = v.shape[:2]
-    planes = np.arange(n * c).reshape(n, c, 1, 1) * (in_hw[0] * in_hw[1])
-    return np.take(v.reshape(-1), argmax + planes)
+    size = in_hw[0] * in_hw[1]
+    planes = np.arange(n * c, dtype=np.int32 if n * c * size < 2 ** 31 else np.int64)
+    return np.take(v.reshape(-1), argmax + planes.reshape(n, c, 1, 1) * size)
 
 
 def _pool_counts(in_hw, window, stride, out_hw, dtype):

@@ -180,13 +180,16 @@ class TestPasses:
         assert sum(w.size + b.size for w, b in net.params()) == 6 * 8 + 8 + 8 * 3 + 3
         assert [w.shape for w, _ in net.params()] == [(6, 8), (8, 3)]
 
-    # float32 mnist-paper slices at 52 images under batch size 256; 126
-    # images leave no slice of one image, whose one-row FC product takes
-    # another BLAS path and may differ in the last bits
+    # float32 mnist-paper slices hold at most 52 images under batch size 256,
+    # mnist-tiny ones 256; 53 and 257 images would leave a one-image slice,
+    # whose one-row FC product takes another BLAS path and may differ in the
+    # last bits, but are cut into two slices of near-equal size
     @pytest.mark.parametrize("build, x_shape, dtype", [
         (acceptance_net, (23, 1, 7, 7), np.float64),
         (lambda seed: build_net("mnist-paper", seed), (126, 1, 28, 28), np.float32),
-    ], ids=["acceptance", "mnist-paper"])
+        (lambda seed: build_net("mnist-paper", seed), (53, 1, 28, 28), np.float32),
+        (lambda seed: build_net("mnist-tiny", seed), (257, 1, 28, 28), np.float32),
+    ], ids=["acceptance", "mnist-paper", "mnist-paper-53", "mnist-tiny-257"])
     def test_batched_forward_matches_whole_batch(self, build, x_shape, dtype):
         rng = np.random.default_rng(4)
         net = build(0)
@@ -214,6 +217,14 @@ class TestInferenceSlices:
         assert slice_images(net, x, 10 ** 6) == _EVAL_SLICE_BYTES // widest
         assert slice_images(net, x, 256) == at_256
         assert slice_images(net, x, 7) == 7  # the batch size stays the upper bound
+
+    @pytest.mark.parametrize("n, sizes", [(53, [26, 27]), (104, [52, 52]), (157, [39, 39, 39, 40])])
+    def test_slices_of_near_equal_size(self, n, sizes):
+        net = build_net("mnist-paper", 0)
+        slices = network.image_slices(net, np.zeros((n, 1, 28, 28), np.float32), 256)
+        assert [sl.stop - sl.start for sl in slices] == sizes
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
 
     def test_at_least_one_image(self, monkeypatch):
         monkeypatch.setattr(network, "_EVAL_SLICE_BYTES", 1)

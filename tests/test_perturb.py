@@ -253,6 +253,8 @@ class TestSlicedSweep:
                 return inner(*args, **kw)
             monkeypatch.setattr(net, method, counted)
         sweep(net, x, labels, kind, [0.0, 0.1, 0.2], seed=0)
-        # the adversarial gradient pass also scores level 0
-        per_level = [step] * (len(x) // step) + [len(x) % step]
+        # the adversarial gradient pass also scores level 0; the 600 images
+        # make ceil(600 / step) slices of equal size: 3 of 200, 12 of 50
+        k = -(-len(x) // step)
+        per_level = [len(x) // k] * k
         assert sizes == per_level * 3

@@ -1,5 +1,9 @@
 """Kernel-level checks against plain-loop and earlier-kernel references."""
 
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -518,6 +522,17 @@ class TestMemory:
 
     @pytest.mark.parametrize("shape,kernel,dtype", memory_cases())
     def test_peak_within_output_plus_16mib(self, shape, kernel, dtype):
+        self.check_peak(shape, kernel, dtype)
+
+    @pytest.mark.parametrize("shape,kernel,dtype", memory_cases())
+    def test_peak_bound_holds_at_2_workers(self, shape, kernel, dtype, monkeypatch):
+        # tracemalloc traces every thread; the weight grad keeps at most one
+        # chunk product per worker alive
+        monkeypatch.setattr(tensor, "_WORKERS", 2)
+        self.check_peak(shape, kernel, dtype)
+
+    @staticmethod
+    def check_peak(shape, kernel, dtype):
         _, xs, ws, pad = shape
         kernel_hw = ws[2:]
         rng = np.random.default_rng(11)
@@ -539,6 +554,115 @@ class TestMemory:
             tracemalloc.stop()
         out_bytes = sum(r.nbytes for r in (result if isinstance(result, tuple) else (result,)))
         assert peak <= out_bytes + (16 << 20), f"{peak / 2**20:.1f} MiB traced"
+
+
+def pooled_case(name, dtype):
+    """Inputs at a CONV_SHAPES or POOL_SHAPES entry, in dtype, with three
+    whole chunks and a one-image last chunk at that dtype's chunk length."""
+    conv = {c[0]: c[1:] for c in CONV_SHAPES}
+    rng = np.random.default_rng(15)
+    itemsize = np.dtype(dtype).itemsize
+    if name in conv:
+        xs, ws, pad = conv[name]
+        out_hw = conv_output_hw(*xs[1:], ws[2:], pad, (1, 1))
+        n = 3 * tensor._conv_chunk(xs[0], ws[2:], out_hw, itemsize) + 1
+        x = rng.normal(size=(n,) + xs).astype(dtype)
+        w = rng.normal(size=ws).astype(dtype)
+        dy = rng.normal(size=(n, ws[0]) + out_hw).astype(dtype)
+        return lambda: [conv2d(x, w, pad, (1, 1), w[:, 0, 0, 0]),
+                        *conv2d_weight_grad(x, dy, ws[2:], pad, (1, 1)),
+                        conv2d_input_grad(dy, w, pad, (1, 1), xs[1:])]
+    xs = dict(POOL_SHAPES)[name]
+    n = 3 * tensor._pool_chunk(xs[0], xs[1:], itemsize) + 1
+    x = tie_heavy(rng.normal(size=(n,) + xs)).astype(dtype)
+    _, arg = maxpool_forward(x, *POOL)
+    dy = rng.normal(size=arg.shape).astype(dtype)
+    return lambda: [*maxpool_forward(x, *POOL), maxpool_forward(x, *POOL, positions=False)[0],
+                    maxpool_scatter(dy, arg, xs[1:])]
+
+
+class TestWorkers:
+    """The conv and max-pool kernels spread their chunks over the kernel
+    workers, with the chunks and the weight grad's summation order of one."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", [c[0] for c in CONV_SHAPES] + [p[0] for p in POOL_SHAPES])
+    def test_bitwise_the_one_worker_result(self, name, dtype, workers, monkeypatch):
+        run = pooled_case(name, dtype)
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+        want = run()
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        got = run()
+        assert [g.dtype for g in got] == [w.dtype for w in want]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+        monkeypatch.setattr(tensor, "_POOL", (None, None, None))
+        before = threading.active_count()
+        pooled_case("conv1", np.float32)()
+        pooled_case("pool1", np.float32)()
+        assert threading.active_count() == before
+        assert tensor._POOL == (None, None, None)
+
+    def test_call_does_not_wait_for_a_busy_pool(self, monkeypatch):
+        # the pool's one thread is held busy: the caller takes every chunk
+        # and cancels the pool's task, where waiting for it would hang
+        monkeypatch.setattr(tensor, "_WORKERS", 2)
+        run = pooled_case("conv2", np.float32)
+        want = run()
+        release = threading.Event()
+        blocker = tensor._POOL[2].submit(release.wait, 30)
+        try:
+            got = run()
+            assert not blocker.done()
+        finally:
+            release.set()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_each_item_runs_once_under_thread_switches(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as possible
+        monkeypatch.setattr(tensor, "_WORKERS", 8)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = tensor._each(lambda i: calls.append(i) or i * i, range(500))
+                assert got == [i * i for i in range(500)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted(list(range(500)) * 20)
+
+    def test_worker_count_from_cpus_per_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", None)
+        threads = tensor.blas_threads()
+        cpus = len(os.sched_getaffinity(0))
+        assert tensor.kernel_workers() == (max(1, cpus // threads) if threads else 1)
+        monkeypatch.setattr(tensor, "_WORKERS", None)
+        monkeypatch.setattr(tensor, "blas_threads", lambda: None)
+        assert tensor.kernel_workers() == 1
+
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", 2)
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(9, 32, 12, 12)).astype(np.float32)  # 3 chunks
+        w = rng.normal(size=(64, 32, 5, 5)).astype(np.float32)
+        want = conv2d(x, w, (2, 2)).tobytes()
+        assert tensor._POOL[0] == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(conv2d(x, w, (2, 2)).tobytes()))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child's conv2d did not return"
+            assert recv.recv() == want
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
 
 
 # (input (N, C, H, W), filters (F, C, kh, kw), pad): output rows outrun
